@@ -170,11 +170,12 @@ type report = {
   r_failures : failure list;
 }
 
-(* Down-sample [arr] to at most [n] entries, evenly spaced, keeping the
+(* Down-sample [l] to at most [n] entries, evenly spaced, keeping the
    first and last — a bounded sweep still probes both ends of the run. *)
-let sample n arr =
+let sample n l =
+  let arr = Array.of_list l in
   let len = Array.length arr in
-  if len <= n then Array.to_list arr
+  if len <= n then l
   else
     List.init n (fun i ->
         arr.(if n = 1 then 0 else i * (len - 1) / (n - 1)))
@@ -183,9 +184,8 @@ let sweep ?max_points ?(target = Plan.Acting) ?(shrink = true) ?(jobs = 1)
     ?(domains = 1) c =
   let schedule = record ~domains c in
   let points =
-    match max_points with
-    | None -> Array.to_list schedule.s_armed
-    | Some n -> sample n schedule.s_armed
+    let all = Array.to_list schedule.s_armed in
+    match max_points with None -> all | Some n -> sample n all
   in
   let armed_steps =
     List.sort_uniq compare (List.map fst (Array.to_list schedule.s_armed))

@@ -82,6 +82,11 @@ type report = {
 val run_plan : case -> schedule -> Plan.t -> string option * unit Hio.Runtime.result
 (** One faulted run; [None] means all invariants held. *)
 
+val sample : int -> 'a list -> 'a list
+(** [sample n l] keeps at most [n] entries of [l], evenly spaced and
+    including the first and last — the down-sampling every sweep uses
+    for its kill points, sites and armed steps. *)
+
 val sweep :
   ?max_points:int ->
   ?target:Plan.target ->

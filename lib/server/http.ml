@@ -12,10 +12,11 @@ module Conn = struct
   let recv_char (conn : t) = conn.Ev.Backend.c_recv_char ()
   let close (conn : t) = conn.Ev.Backend.c_close ()
 
+  (* Both readers create their buffer in the continuation of the first
+     read, not when the value is built: one [recv_line conn] value may be
+     run many times, and each run must start from an empty line. *)
   let recv_line conn =
-    let buf = Buffer.create 32 in
-    let rec go () =
-      recv_char conn >>= function
+    let rec step buf = function
       | '\n' -> return (Buffer.contents buf)
       | '\r' -> (
           (* expect \n next; tolerate a bare \r *)
@@ -24,23 +25,27 @@ module Conn = struct
           | c ->
               Buffer.add_char buf '\r';
               Buffer.add_char buf c;
-              go ())
+              go buf)
       | c ->
           Buffer.add_char buf c;
-          go ()
-    in
-    go ()
+          go buf
+    and go buf = recv_char conn >>= step buf in
+    recv_char conn >>= fun c -> step (Buffer.create 32) c
 
   let drain_available (conn : t) =
-    let buf = Buffer.create 32 in
-    let rec go () =
+    let rec go buf =
       conn.Ev.Backend.c_try_recv () >>= function
       | Some c ->
           Buffer.add_char buf c;
-          go ()
+          go buf
       | None -> return (Buffer.contents buf)
     in
-    go ()
+    conn.Ev.Backend.c_try_recv () >>= function
+    | Some c ->
+        let buf = Buffer.create 32 in
+        Buffer.add_char buf c;
+        go buf
+    | None -> return ""
 end
 
 type request = {

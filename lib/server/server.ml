@@ -31,7 +31,7 @@ let default_config =
     keep_alive = false;
   }
 
-type stats = {
+type stats = Kernel.stats = {
   served : int;
   timeouts : int;
   bad_requests : int;
@@ -40,315 +40,59 @@ type stats = {
   restarts : int;
 }
 
-(* All accounting lives in an Obs.Metrics registry — the same registry the
-   caller can hand to the runtime collector, so one table reports both the
-   scheduler and the server. The handles below are just cached lookups. *)
-type instruments = {
-  m_served : Obs.Metrics.counter;
-  m_timeouts : Obs.Metrics.counter;
-  m_bad : Obs.Metrics.counter;
-  m_shed : Obs.Metrics.counter;
-  m_degraded : Obs.Metrics.counter;
-  m_rejected : Obs.Metrics.counter;
-  m_inflight : Obs.Metrics.gauge;
-  m_latency : Obs.Metrics.histogram;
-  m_io_fault : string -> Obs.Metrics.counter;
-      (* server_io_faults_total{kind}: transport faults absorbed instead
-         of escaping as crashes — registered lazily per kind so quiet
-         runs don't grow the metrics table. *)
-  m_dial : string -> Obs.Metrics.counter;
-      (* client_dial_errors_total{kind}: dials that came back with
-         nothing — timeout, refused, fd budget — counted on the server's
-         registry before the exception reaches the client. *)
-}
-
-(* When an explicit backend is in play every series carries a
-   [backend=sim|real] label, so one registry can compare the two side by
-   side. The default (no [?backend]) stays label-free: the pre-redesign
-   metric names are pinned by golden output. *)
-let instruments ?backend_name reg =
-  let extra =
-    match backend_name with None -> [] | Some n -> [ ("backend", n) ]
-  in
-  let outcome o =
-    Obs.Metrics.counter reg
-      ~labels:(("outcome", o) :: extra)
-      "server_requests_total"
-  in
-  {
-    m_served = outcome "ok";
-    m_timeouts = outcome "timeout";
-    m_bad = outcome "bad_request";
-    m_shed = outcome "shed";
-    m_degraded = outcome "degraded";
-    m_rejected = Obs.Metrics.counter reg ~labels:extra "server_rejected_total";
-    m_inflight = Obs.Metrics.gauge reg ~labels:extra "server_in_flight";
-    m_latency =
-      Obs.Metrics.histogram reg
-        ~buckets:[ 10; 20; 50; 100; 200; 500; 1000; 2000; 5000 ]
-        ~labels:extra "server_request_latency_steps";
-    m_io_fault =
-      (fun kind ->
-        Obs.Metrics.counter reg
-          ~labels:(("kind", kind) :: extra)
-          "server_io_faults_total");
-    m_dial =
-      (fun kind ->
-        Obs.Metrics.counter reg
-          ~labels:(("kind", kind) :: extra)
-          "client_dial_errors_total");
-  }
-
 exception Server_stopped
-exception Dial_timeout
+exception Dial_timeout = Kernel.Dial_timeout
 
-(* Transport faults a hardened server absorbs (close/503/keep going)
-   rather than letting them escape as crashes; everything else — handler
-   bugs, kills — keeps its §5 semantics. *)
-let io_fault_kind = function
-  | End_of_file -> Some "eof"
-  | Ev.Backend.Connection_reset -> Some "reset"
-  | Ev.Backend.Connection_refused -> Some "refused"
-  | Ev.Backend.Accept_failed -> Some "accept"
-  | Ev.Backend.Too_many_fds -> Some "fds"
-  | Ev.Backend.Buffer_full -> Some "buffer"
-  | _ -> None
-
-let service_unavailable =
-  { Http.status = 503; reason = "Service Unavailable"; body = "" }
-
-type mode =
-  | Supervised of { sup : Hsup.Sup.t; bulk : Hsup.Bulkhead.t }
-  | Plain of { listener : Io.thread_id; admission : Sem.t }
-
-(* An external (backend-provided) listener and the thread pumping its
-   accepts into the in-process backlog queue. In supervised mode the
-   pump runs as a Permanent child of the tree ([pump = None]) so a kill
-   or crash restarts it instead of deafening the server; in plain mode
-   it is a bare fork we kill at shutdown. *)
-type ext = { el : Ev.Backend.listener; pump : Io.thread_id option }
+(* The long-lived threads — the listener draining the backlog, the
+   accept pump feeding it — are Permanent children of the tree, so a
+   kill or crash restarts them instead of deafening the server; the bare
+   §11 prototype forks them and kills them by id at shutdown. *)
+type tree = Supervised of Hsup.Sup.t | Bare of (string * Io.thread_id) list ref
 
 type t = {
   backlog : (Http.Conn.t * Hsup.Deadline.t) Bchan.t;
   registry : Obs.Metrics.t;
-  ins : instruments;
+  ins : Kernel.instruments;
   config : config;
   mutable accepting : bool;
-  mode : mode;
-  ext : ext option;
+  tree : tree;
+  el : Ev.Backend.listener option;
 }
 
-let count c = lift (fun () -> Obs.Metrics.inc c)
+let start_thread tree name body =
+  match tree with
+  | Supervised sup ->
+      Hsup.Sup.start_child sup
+        (Hsup.Sup.child ~lifetime:Hsup.Sup.Permanent name body)
+  | Bare tids ->
+      fork ~name (catch body (fun _ -> return ())) >>= fun tid ->
+      lift (fun () -> tids := (name, tid) :: !tids)
 
-(* --- the serving protocol -------------------------------------------------
+let stop_thread tree name =
+  match tree with
+  | Supervised sup -> Kernel.stop_sup_child sup name
+  | Bare tids -> throw_to (List.assoc name !tids) Kill_thread
 
-   Each connection carries a [progress] ref shared by every incarnation
-   of its worker. A restarted worker (its predecessor was killed or
-   crashed mid-request) must not re-run the handler — the request stream
-   is already partly consumed and the effect may not be idempotent — so
-   it degrades: a never-answered connection gets a 503, a connection
-   whose response write was cut gets closed. Setting [`Answered] and
-   starting the response write happen under one mask, so a kill cannot
-   produce a second answer on the same connection. *)
-type progress = Fresh | Serving | Answered
-
-let count_io ins kind = lift (fun () -> Obs.Metrics.inc (ins.m_io_fault kind))
-let close_quietly conn = catch (Http.Conn.close conn) (fun _ -> return ())
-
-(* [counter] is bumped only after the full response is on the wire, so
-   outcome counters mean "answered", not "tried to answer". *)
-let respond progress conn counter response =
-  mask_
-    ( lift (fun () -> progress := Answered) >>= fun () ->
-      Http.write_response conn response >>= fun () -> count counter )
-
-(* A bounded, fault-tolerant response write for paths outside the main
-   request deadline (504/degrade fallbacks, shutdown drain): the write
-   gets its own deadline, and a transport fault — the peer reset or
-   vanished — closes the connection instead of propagating. *)
-let safe_respond config ins progress conn counter response =
-  catch
-    ( Combinators.timeout config.request_timeout
-        (respond progress conn counter response)
-      >>= function
-      | Some () -> return ()
-      | None -> count_io ins "deadline" >>= fun () -> close_quietly conn )
-    (fun e ->
-      match io_fault_kind e with
-      | Some kind -> count_io ins kind >>= fun () -> close_quietly conn
-      | None -> throw e)
-
-(* The per-request deadline fired. If the response write was already in
-   progress ([Answered]) the byte stream is unusable — close the
-   connection; otherwise answer 504 under its own bounded write. *)
-let deadline_exceeded config ins progress conn =
-  lift (fun () -> !progress) >>= function
-  | Answered -> count_io ins "deadline" >>= fun () -> close_quietly conn
-  | Fresh | Serving ->
-      safe_respond config ins progress conn ins.m_timeouts
-        Http.timeout_response
-
-(* Read + handle, mapping the two expected failures — a malformed
-   request, a peer that reset or closed mid-request — to data. *)
-let read_and_handle handler conn =
-  catch
-    ( Http.read_request conn >>= fun request ->
-      handler request >>= fun response -> return (`Reply response) )
-    (fun e ->
-      match e with
-      | Http.Bad_request m -> return (`Bad m)
-      | e -> (
-          match io_fault_kind e with
-          | Some kind -> return (`Peer_gone (kind, e))
-          | None -> throw e))
-
-(* --- the unsupervised (§11-prototype) path -------------------------------
-
-   Serve one connection end to end: the composable timeout covers the
-   admission wait, the (possibly trickling) request read, the handler,
-   {e and the response write} — a stalled reader can no longer hold a
-   worker past the deadline. Latency is measured on the virtual-step
-   clock, first step to final response byte. *)
-let serve_plain config ins admission handler conn dl =
-  steps >>= fun t0 ->
-  lift (fun () -> ref Fresh) >>= fun progress ->
-  Hsup.Deadline.timeout dl
-    ( Sem.with_unit admission (read_and_handle handler conn) >>= function
-      | `Reply response -> respond progress conn ins.m_served response
-      | `Bad m -> respond progress conn ins.m_bad (Http.bad_request m)
-      | `Peer_gone (kind, _) ->
-          (* nobody left to answer *)
-          count_io ins kind >>= fun () -> close_quietly conn )
-  >>= (function
-        | Some () -> return ()
-        | None -> deadline_exceeded config ins progress conn)
-  >>= fun () ->
-  steps >>= fun t1 -> lift (fun () -> Obs.Metrics.observe ins.m_latency (t1 - t0))
-
-(* Keep-alive variant of [serve_plain] (used only when
-   [config.keep_alive]). Serves requests off the same connection until
-   the peer closes or resets, a request times out, or it is malformed —
-   a parse error or timeout leaves the byte stream unsynchronized, so
-   the connection cannot be reused and is closed after the error
-   response. *)
-let serve_keep_alive config ins admission handler conn dl0 =
-  let serve_one dl =
-    steps >>= fun t0 ->
-    lift (fun () -> ref Fresh) >>= fun progress ->
-    Hsup.Deadline.timeout dl
-      ( Sem.with_unit admission (read_and_handle handler conn) >>= function
-        | `Reply response ->
-            respond progress conn ins.m_served response >>= fun () ->
-            return `Keep
-        | `Bad m ->
-            respond progress conn ins.m_bad (Http.bad_request m)
-            >>= fun () -> return `Close
-        | `Peer_gone (_, e) ->
-            (* at a request boundary this is the normal end of a
-               keep-alive conversation: re-throw so the outer loop
-               closes without booking a phantom request *)
-            throw e )
-    >>= (function
-          | Some verdict -> return verdict
-          | None ->
-              deadline_exceeded config ins progress conn >>= fun () ->
-              return `Close)
-    >>= fun verdict ->
-    steps >>= fun t1 ->
-    lift (fun () -> Obs.Metrics.observe ins.m_latency (t1 - t0)) >>= fun () ->
-    return verdict
-  in
-  (* The accept-time deadline covers the first request (time queued in
-     the backlog counts); each later request on the connection is a new
-     arrival and mints a fresh budget. *)
-  let rec loop dl =
-    catch (serve_one dl) (function
-      | End_of_file | Ev.Backend.Connection_reset -> return `Close
-      | e -> throw e)
-    >>= function
-    | `Keep ->
-        Hsup.Deadline.mint config.request_timeout >>= fun dl -> loop dl
-    | `Close -> Http.Conn.close conn
-  in
-  loop dl0
-
-(* --- the supervised path --------------------------------------------------
-
-   Admission goes through a bulkhead instead of a bare semaphore: at most
-   [max_concurrent] requests run, at most [max_waiting] more queue, and
-   the rest are shed with an immediate 503 — saturation degrades service
-   instead of growing an unbounded queue.
-
-   The request deadline covers the response write. Transport faults
-   during the read are absorbed here (peer gone: close, count, exit Ok —
-   no restart burned); a fault {e during the response write} is counted
-   and then escapes the worker on purpose: the supervisor restarts it,
-   and the fresh incarnation finds [Answered] and degrades the
-   connection by closing it — the crash is contained one level up
-   instead of escalating. *)
-let counted_escape ins io =
-  catch io (fun e ->
-      match io_fault_kind e with
-      | Some kind -> count_io ins kind >>= fun () -> throw e
-      | None -> throw e)
-
-let serve_supervised config ins bulk handler conn progress dl =
-  steps >>= fun t0 ->
-  Hsup.Deadline.timeout dl
-    ( Hsup.Bulkhead.run bulk (read_and_handle handler conn) >>= function
-      | Ok (`Reply response) ->
-          counted_escape ins (respond progress conn ins.m_served response)
-      | Ok (`Bad m) ->
-          counted_escape ins
-            (respond progress conn ins.m_bad (Http.bad_request m))
-      | Ok (`Peer_gone (kind, _)) ->
-          count_io ins kind >>= fun () ->
-          mask_
-            ( lift (fun () -> progress := Answered) >>= fun () ->
-              close_quietly conn )
-      | Error `Shed ->
-          counted_escape ins
-            (respond progress conn ins.m_shed service_unavailable) )
-  >>= (function
-        | Some () -> return ()
-        | None -> deadline_exceeded config ins progress conn)
-  >>= fun () ->
-  steps >>= fun t1 -> lift (fun () -> Obs.Metrics.observe ins.m_latency (t1 - t0))
-
-let worker_body config ins bulk handler conn progress dl =
-  Combinators.bracket_
-    (lift (fun () -> Obs.Metrics.add ins.m_inflight 1))
-    ( lift (fun () -> !progress) >>= function
-      | Answered ->
-          (* the previous incarnation died after its answer started: the
-             response may be incomplete, so degrade the connection by
-             closing it — the peer sees EOF, not a stalled stream *)
-          close_quietly conn
-      | Serving ->
-          (* a previous incarnation was killed mid-request *)
-          safe_respond config ins progress conn ins.m_degraded
-            service_unavailable
-      | Fresh ->
-          Hsup.Deadline.expired dl >>= fun late ->
-          if late then
-            (* the budget burned away in the backlog: shed early (503)
-               instead of spending a worker on a guaranteed 504 *)
-            safe_respond config ins progress conn ins.m_shed
-              service_unavailable
-          else
-            lift (fun () -> progress := Serving) >>= fun () ->
-            serve_supervised config ins bulk handler conn progress dl )
-    (lift (fun () -> Obs.Metrics.add ins.m_inflight (-1)))
-
-let listener_body config ins sup bulk backlog handler =
-  Combinators.forever
-    ( Bchan.recv backlog >>= fun (conn, dl) ->
-      lift (fun () -> ref Fresh) >>= fun progress ->
+(* Every connection is served by the one {!Kernel.serve} loop; the modes
+   differ only in who watches the worker. Under the tree it is a
+   Transient child, restarted into the degrade protocol; a bare worker
+   has nobody to restart it, so whatever escapes it closes the
+   connection on the way out. *)
+let spawn_worker tree w conn dl =
+  let progress = ref Kernel.Fresh in
+  match tree with
+  | Supervised sup ->
       Hsup.Sup.start_child sup
         (Hsup.Sup.child ~lifetime:Hsup.Sup.Transient "conn-worker"
-           (worker_body config ins bulk handler conn progress dl)) )
+           (Kernel.serve w conn progress dl))
+  | Bare _ ->
+      fork ~name:"conn-worker"
+        (Combinators.on_exception
+           (Kernel.serve w conn progress dl)
+           (Kernel.close_quietly conn))
+      >>= fun _tid -> return ()
 
-let start_core ~config ~metrics ?backend_name handler =
+let start ?(config = default_config) ?metrics ?backend handler =
   Bchan.create config.accept_queue >>= fun backlog ->
   (* The default registry must be created here, inside the continuation —
      i.e. once per {e run} — not when [start] is applied. A server Io value
@@ -356,141 +100,73 @@ let start_core ~config ~metrics ?backend_name handler =
      those runs may sit on different domains: a registry created at
      application time would be shared by all of them, so [shutdown]'s
      in-flight gauge would see other runs' workers and spin. An explicitly
-     passed [?metrics] registry is shared by design: the caller owns it. *)
+     passed [?metrics] registry is shared by design: the caller owns it.
+     With an explicit backend every series carries a [backend=sim|real]
+     label, so one registry can compare the two side by side; the default
+     stays label-free, as the golden metric names are pinned. *)
   let registry =
     match metrics with Some reg -> reg | None -> Obs.Metrics.create ()
   in
-  let ins = instruments ?backend_name registry in
-  if config.supervised then
-    Hsup.Sup.start ~name:"supervisor" ~strategy:Hsup.Sup.One_for_one
-      ~intensity:config.restart_intensity ~metrics:registry []
-    >>= fun sup ->
-    Hsup.Bulkhead.create ~name:"server" ~metrics:registry
-      ?queue_target:config.queue_target ~capacity:config.max_concurrent
-      ~max_waiting:config.max_waiting ()
-    >>= fun bulk ->
-    Hsup.Sup.start_child sup
-      (Hsup.Sup.child ~lifetime:Hsup.Sup.Permanent "listener"
-         (listener_body config ins sup bulk backlog handler))
-    >>= fun () ->
-    return
-      {
-        backlog;
-        registry;
-        ins;
-        config;
-        accepting = true;
-        mode = Supervised { sup; bulk };
-        ext = None;
-      }
-  else
-    Sem.create config.max_concurrent >>= fun admission ->
-    let serve =
-      if config.keep_alive then serve_keep_alive else serve_plain
-    in
-    let accept_loop =
-      Combinators.forever
-        ( Bchan.recv backlog >>= fun (conn, dl) ->
-          fork ~name:"conn-worker"
-            (Combinators.bracket_
-               (lift (fun () -> Obs.Metrics.add ins.m_inflight 1))
-               (serve config ins admission handler conn dl)
-               (lift (fun () -> Obs.Metrics.add ins.m_inflight (-1))))
-          >>= fun _tid -> return () )
-    in
-    fork ~name:"listener" (catch accept_loop (fun _ -> return ()))
-    >>= fun listener ->
-    return
-      {
-        backlog;
-        registry;
-        ins;
-        config;
-        accepting = true;
-        mode = Plain { listener; admission };
-        ext = None;
-      }
-
-(* The default (no [?backend]) path is [start_core] verbatim — same
-   monadic structure as before the redesign, so every Sim golden trace
-   and sweep baseline is untouched. An explicit backend adds, after the
-   server is up, a listener from the backend plus an accept pump feeding
-   the same in-process backlog the workers already drain: the serving
-   pipeline is shared, only the byte source differs. *)
-let start ?(config = default_config) ?metrics ?backend handler =
-  match backend with
-  | None -> start_core ~config ~metrics handler
+  let ins =
+    Kernel.instruments registry
+      (match backend with
+      | None -> []
+      | Some b -> [ ("backend", b.Ev.Backend.b_name) ])
+  in
+  (if config.supervised then
+     Hsup.Sup.start ~name:"supervisor" ~strategy:Hsup.Sup.One_for_one
+       ~intensity:config.restart_intensity ~metrics:registry []
+     >>= fun sup ->
+     Hsup.Bulkhead.create ~name:"server" ~metrics:registry
+       ?queue_target:config.queue_target ~capacity:config.max_concurrent
+       ~max_waiting:config.max_waiting ()
+     >>= fun bulk -> return (Supervised sup, Kernel.Bulkhead bulk)
+   else
+     Sem.create config.max_concurrent >>= fun sem ->
+     return (Bare (ref []), Kernel.Sem sem))
+  >>= fun (tree, admission) ->
+  let w =
+    {
+      Kernel.ins;
+      request_timeout = config.request_timeout;
+      keep_alive = config.keep_alive;
+      admission;
+      breaker = None;
+      handler;
+    }
+  in
+  start_thread tree "listener"
+    (Combinators.forever
+       ( Bchan.recv backlog >>= fun (conn, dl) ->
+         spawn_worker tree w conn dl ))
+  >>= fun () ->
+  (* An explicit backend adds a listener and an accept pump feeding the
+     same in-process backlog the workers already drain: the serving
+     pipeline is shared, only the byte source differs. The deadline is
+     minted at accept: time spent queued in the backlog counts against
+     the request budget. *)
+  (match backend with
+  | None -> return None
   | Some b ->
-      start_core ~config ~metrics ~backend_name:b.Ev.Backend.b_name handler
-      >>= fun server ->
       b.Ev.Backend.b_listen ~backlog:config.accept_queue >>= fun el ->
-      (* A transient accept failure must not deafen the server: count it
-         and keep accepting. *)
-      let pump_body =
-        Combinators.forever
-          (catch
-             ( el.Ev.Backend.l_accept () >>= fun conn ->
-               (* the deadline is minted at accept: time spent queued in
-                  the backlog counts against the request budget *)
-               Hsup.Deadline.mint config.request_timeout >>= fun dl ->
-               Bchan.send server.backlog (conn, dl) )
-             (fun e ->
-               match io_fault_kind e with
-               | Some kind ->
-                   (* count, then back off: a synchronously-failing
-                      accept (EMFILE under an fd budget) would otherwise
-                      spin the pump without ever reaching a blocking
-                      point *)
-                   count_io server.ins kind >>= fun () -> sleep 10
-               | None -> throw e))
-      in
-      (match server.mode with
-      | Supervised { sup; _ } ->
-          Hsup.Sup.start_child sup
-            (Hsup.Sup.child ~lifetime:Hsup.Sup.Permanent "accept-pump"
-               pump_body)
-          >>= fun () -> return None
-      | Plain _ ->
-          fork ~name:"accept-pump" (catch pump_body (fun _ -> return ()))
-          >>= fun tid -> return (Some tid))
-      >>= fun pump -> return { server with ext = Some { el; pump } }
+      start_thread tree "accept-pump"
+        (Kernel.accept_pump ins el (fun conn ->
+             Hsup.Deadline.mint config.request_timeout >>= fun dl ->
+             Bchan.send backlog (conn, dl)))
+      >>= fun () -> return (Some el))
+  >>= fun el ->
+  return { backlog; registry; ins; config; accepting = true; tree; el }
 
 let metrics server = server.registry
 
 let supervisor server =
-  match server.mode with
-  | Supervised { sup; _ } -> Some sup
-  | Plain _ -> None
-
-(* Which [client_dial_errors_total] kind a failed dial books under. *)
-let dial_error_kind = function
-  | Dial_timeout -> Some "timeout"
-  | Ev.Backend.Connection_refused -> Some "refused"
-  | Ev.Backend.Too_many_fds -> Some "fds"
-  | Ev.Backend.Connection_reset -> Some "reset"
-  | End_of_file -> Some "eof"
-  | _ -> None
+  match server.tree with Supervised sup -> Some sup | Bare _ -> None
 
 let connect server =
   if not server.accepting then throw Server_stopped
   else
-    match server.ext with
-    | Some { el; _ } ->
-        (* a dead, saturated or chaos-refusing listener yields
-           [Dial_timeout], not a forever-blocked client thread; every
-           flavour of dial failure is counted before it propagates *)
-        catch
-          ( Combinators.timeout server.config.dial_timeout
-              (el.Ev.Backend.l_dial ())
-          >>= function
-            | Some conn -> return conn
-            | None -> throw Dial_timeout )
-          (fun e ->
-            match dial_error_kind e with
-            | Some kind ->
-                lift (fun () -> Obs.Metrics.inc (server.ins.m_dial kind))
-                >>= fun () -> throw e
-            | None -> throw e)
+    match server.el with
+    | Some el -> Kernel.dial server.config.dial_timeout server.ins el
     | None ->
         (* no backend was given: the implicit simulated transport *)
         Ev.Backend.sim_pipe () >>= fun (client_side, server_side) ->
@@ -501,75 +177,50 @@ let connect server =
 let shutdown server =
   lift (fun () -> server.accepting <- false) >>= fun () ->
   (* stop accepting: kill the accept loop (without restart, in the
-     supervised mode) and wait until it is gone *)
-  let stop_sup_child sup name =
-    Hsup.Sup.stop_child sup name >>= fun () ->
-    let rec wait_child () =
-      Hsup.Sup.child_up sup name >>= fun up ->
-      Hsup.Sup.alive sup >>= fun alive ->
-      if up && alive then yield >>= fun () -> wait_child ()
-      else return ()
-    in
-    wait_child ()
-  in
-  (match server.mode with
-  | Plain { listener; _ } -> throw_to listener Kill_thread
-  | Supervised { sup; _ } -> stop_sup_child sup "listener")
+     supervised mode) and wait until it is gone; then stop the accept
+     pump and close the external listener before draining, so no new
+     connection can slip into the backlog *)
+  stop_thread server.tree "listener" >>= fun () ->
+  (match server.el with
+  | None -> return ()
+  | Some el ->
+      stop_thread server.tree "accept-pump" >>= fun () ->
+      el.Ev.Backend.l_close ())
   >>= fun () ->
   (* Reject anything still queued. Each 503 write is bounded and
      fault-tolerant — a queued connection whose peer already vanished
      (or is being chaos-trickled) must not stall the shutdown — and the
      connection is closed so the peer sees EOF, not silence. *)
+  let ins = server.ins in
   let rec drain () =
     Bchan.try_recv server.backlog >>= function
     | Some (conn, _dl) ->
-        count server.ins.m_rejected >>= fun () ->
+        Kernel.count ins.m_rejected >>= fun () ->
         catch
           ( Combinators.timeout server.config.request_timeout
-              (Http.write_response conn service_unavailable)
+              (Http.write_response conn Kernel.service_unavailable)
           >>= function
             | Some () -> return ()
-            | None -> count_io server.ins "deadline" )
+            | None -> Kernel.count_io ins "deadline" )
           (fun e ->
-            match io_fault_kind e with
-            | Some kind -> count_io server.ins kind
+            match Kernel.io_fault_kind e with
+            | Some kind -> Kernel.count_io ins kind
             | None -> throw e)
         >>= fun () ->
-        close_quietly conn >>= fun () -> drain ()
+        Kernel.close_quietly conn >>= fun () -> drain ()
     | None -> return ()
   in
-  (match server.ext with
-  | None -> drain ()
-  | Some { el; pump } ->
-      (* stop the accept pump and close the external listener before
-         draining, so no new connection can slip into the backlog *)
-      (match (pump, server.mode) with
-      | Some tid, _ -> throw_to tid Kill_thread
-      | None, Supervised { sup; _ } -> stop_sup_child sup "accept-pump"
-      | None, Plain _ -> return ())
-      >>= fun () ->
-      el.Ev.Backend.l_close () >>= fun () -> drain ())
-  >>= fun () ->
+  drain () >>= fun () ->
   (* wait for in-flight workers; each is bounded by the request timeout *)
   let rec wait_drained () =
-    if Obs.Metrics.gauge_value server.ins.m_inflight = 0 then return ()
+    if Obs.Metrics.gauge_value ins.m_inflight = 0 then return ()
     else sleep 5 >>= fun () -> wait_drained ()
   in
   wait_drained () >>= fun () ->
-  (match server.mode with
-  | Plain _ -> return 0
-  | Supervised { sup; _ } ->
-      Hsup.Sup.stop sup >>= fun _ -> Hsup.Sup.restart_count sup)
-  >>= fun restarts ->
-  return
-    {
-      served = Obs.Metrics.counter_value server.ins.m_served;
-      timeouts = Obs.Metrics.counter_value server.ins.m_timeouts;
-      bad_requests = Obs.Metrics.counter_value server.ins.m_bad;
-      rejected = Obs.Metrics.counter_value server.ins.m_rejected;
-      shed = Obs.Metrics.counter_value server.ins.m_shed;
-      restarts;
-    }
+  (match server.tree with
+  | Bare _ -> return 0
+  | Supervised sup -> Hsup.Sup.stop sup >>= fun _ -> Hsup.Sup.restart_count sup)
+  >>= fun restarts -> return (Kernel.stats ins ~restarts)
 
 let route table request =
   match List.assoc_opt request.Http.path table with

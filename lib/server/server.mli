@@ -38,7 +38,15 @@
     incarnation closes the broken connection; the accept pump survives
     transient accept failures; and the shutdown drain's 503s are
     individually bounded and fault-tolerant. The combined kill×I/O sweep
-    ([chrun sweep --suite chaos]) holds all of this at zero failures. *)
+    ([chrun sweep --suite chaos]) holds all of this at zero failures.
+
+    The request path itself — that protocol, keep-alive, the accept pump
+    and the bounded dial — is {!Kernel}'s, shared with {!Shard}: both
+    modes run the one connection worker loop, which closes the
+    connection after its final answer, and differ only in admission (a
+    bulkhead or the bare semaphore) and in whether a supervisor watches
+    the worker. This module keeps its own tree ([supervisor], the
+    [listener] draining the backlog, the [accept-pump]). *)
 
 open Hio
 
@@ -81,17 +89,16 @@ type config = {
   restart_intensity : Hsup.Sup.intensity;
       (** worker/listener restart budget before the tree escalates *)
   keep_alive : bool;
-      (** serve multiple requests per connection (plain mode only):
-          the worker loops until the peer closes, a request times out,
-          or parsing fails. Off by default — the one-shot path's step
-          counts are pinned by the sweep baselines. Ignored in
-          supervised mode, whose degrade-on-restart protocol is
-          per-request. *)
+      (** serve multiple requests per connection: the worker loops
+          until the peer closes, a request times out, or parsing fails,
+          minting a fresh deadline per request. Off by default — the
+          one-shot path's step counts are pinned by the sweep
+          baselines. *)
 }
 
 val default_config : config
 
-type stats = {
+type stats = Kernel.stats = {
   served : int;
   timeouts : int;
   bad_requests : int;

@@ -74,6 +74,28 @@ let http_tests =
           (value
              ( Ev.Backend.sim_pipe () >>= fun (_a, b) ->
                Http.Conn.drain_available b )));
+    case "one read_request value parses a fresh request on every run"
+      (fun () ->
+        Alcotest.(check (list string))
+          "paths" [ "/a"; "/b" ]
+          (value
+             ( Ev.Backend.sim_pipe () >>= fun (client, server) ->
+               Http.Conn.send_string client
+                 "GET /a HTTP/1.0\r\n\r\nGET /b HTTP/1.0\r\n\r\n"
+               >>= fun () ->
+               let read = Http.read_request server in
+               read >>= fun a ->
+               read >>= fun b -> return [ a.Http.path; b.Http.path ] )));
+    case "one drain_available value drains afresh on every run" (fun () ->
+        Alcotest.(check (list string))
+          "drained" [ "ab"; "cd" ]
+          (value
+             ( Ev.Backend.sim_pipe () >>= fun (a, b) ->
+               let drain = Http.Conn.drain_available b in
+               Http.Conn.send_string a "ab" >>= fun () ->
+               drain >>= fun first ->
+               Http.Conn.send_string a "cd" >>= fun () ->
+               drain >>= fun second -> return [ first; second ] )));
     case "malformed request line raises Bad_request" (fun () ->
         match
           run
@@ -96,8 +118,62 @@ let http_tests =
         | _ -> Alcotest.fail "expected Bad_request");
   ]
 
+let hello = { Http.meth = "GET"; path = "/hello"; headers = []; body = "" }
+
+(* One request on [conn]; 0 stands for no answer within 1ms. *)
+let status_of conn =
+  Http.write_request conn hello >>= fun () ->
+  Combinators.timeout 1_000 (Http.read_response conn) >>= function
+  | Some r -> return r.Http.status
+  | None -> return 0
+
 let server_tests =
   [
+    case "one-shot connections are closed server-side: ten fit 4 fds"
+      (fun () ->
+        (* each conversation holds two budget slots (the dialled and the
+           accepted end); a server that never closes its end runs the
+           budget dry by the fourth request *)
+        let statuses, denied, live =
+          value
+            ( lift (fun () ->
+                  Ev.Chaos.create
+                    ~resources:
+                      { Ev.Chaos.no_resources with fd_budget = Some 4 }
+                    [])
+            >>= fun ctl ->
+              Server.start ~backend:(Ev.Chaos.wrap ctl (Ev.Backend.sim ()))
+                echo_handler
+              >>= fun server ->
+              let rec go i acc =
+                if i = 0 then return (List.rev acc)
+                else
+                  Server.connect server >>= fun conn ->
+                  status_of conn >>= fun st ->
+                  Http.Conn.close conn >>= fun () -> go (i - 1) (st :: acc)
+              in
+              go 10 [] >>= fun statuses ->
+              Server.shutdown server >>= fun _ ->
+              return
+                (statuses, Ev.Chaos.denied ctl, Ev.Chaos.live_conns ctl) )
+        in
+        Alcotest.(check (list int_v))
+          "all 200" (List.init 10 (fun _ -> 200)) statuses;
+        Alcotest.(check (list (pair string int_v))) "no fd denial" [] denied;
+        Alcotest.check int_v "no connection left open" 0 live);
+    case "supervised keep-alive: three requests on one connection" (fun () ->
+        let config = { Server.default_config with Server.keep_alive = true } in
+        Alcotest.(check (list int_v))
+          "all 200" [ 200; 200; 200 ]
+          (value
+             ( Server.start ~config ~backend:(Ev.Backend.sim ()) echo_handler
+             >>= fun server ->
+               Server.connect server >>= fun conn ->
+               status_of conn >>= fun a ->
+               status_of conn >>= fun b ->
+               status_of conn >>= fun c ->
+               Http.Conn.close conn >>= fun () ->
+               Server.shutdown server >>= fun _ -> return [ a; b; c ] )));
     case "end-to-end: routed request gets its answer" (fun () ->
         let response =
           value
