@@ -398,57 +398,6 @@ let sc =
         run_config random_cfg (fork_tree 9 10)));
   ]
 
-(* --- DOM: the multi-domain work-stealing scheduler --------------------------- *)
-
-(* The BENCH_domains.json scenarios: the SC storm (1023 simultaneously
-   runnable threads, 30 yield laps each) executed live on 1/2/4/8
-   scheduler domains, plus a single-domain deterministic replay of a
-   captured 4-domain log. The multi-domain cells include everything a
-   real `chrun run --domains N` pays: domain spawn/join, the global-lock
-   sequenced steps, work stealing, cross-domain mailbox drains, and
-   always-on replay-log recording. On a single-core container domains >
-   1 can only lose (same caveat as the PAR group); the >=2.5x storm
-   criterion is judged on a multi-core runner. *)
-
-let run_domains domains io =
-  let config = { Runtime.Config.default with Runtime.Config.domains } in
-  match (Runtime.run ~config io).Runtime.outcome with
-  | Runtime.Value v -> v
-  | _ -> failwith "bench program failed"
-
-let dom_storm () = fork_tree 9 30
-
-(* One 4-domain log, captured at first use: the replay cell prices
-   following a recorded schedule, not recording it. *)
-let dom_log =
-  lazy
-    (let config = { Runtime.Config.default with Runtime.Config.domains = 4 } in
-     match (Runtime.run ~config (dom_storm ())).Runtime.replay_log with
-     | Some log -> log
-     | None -> assert false)
-
-let dom_replay () =
-  let config =
-    { Runtime.Config.default with Runtime.Config.replay = Some (Lazy.force dom_log) }
-  in
-  let r = Runtime.run ~config (dom_storm ()) in
-  assert (not r.Runtime.replay_diverged);
-  match r.Runtime.outcome with
-  | Runtime.Value v -> v
-  | _ -> failwith "bench program failed"
-
-let dom_group =
-  List.map
-    (fun domains ->
-      Test.make
-        ~name:(Printf.sprintf "dom/fork-tree-1023x30-d%d" domains)
-        (stage (fun () -> run_domains domains (dom_storm ()))))
-    [ 1; 2; 4; 8 ]
-  @ [
-      Test.make ~name:"dom/replay-1023x30-of-d4" (stage (fun () ->
-          dom_replay ()));
-    ]
-
 (* --- OB: observability overhead ---------------------------------------------- *)
 
 (* The BENCH_obs.json criterion: attaching the Obs.Rec ring recorder must
@@ -778,7 +727,6 @@ let groups =
     ("SV server substrate", sv);
     ("RT runtime primitives", rt);
     ("SC scheduler hot path", sc);
-    ("DOM multi-domain scheduler", dom_group);
     ("OB observability overhead", ob);
     ("PAR domain-parallel engines", par_group);
     ("SUP supervision layer", sup_group);

@@ -140,48 +140,21 @@ let chrome_arg =
            changes as instants, stamped with the virtual-step clock. \
            Deterministic under $(b,--policy rr).")
 
-(* --- the hio-runtime path: run --domains / --record, and replay ----------- *)
-
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Execute on the §8 hio runtime (via denotation) sharded across \
-           $(docv) scheduler domains with per-domain run queues and work \
-           stealing. Any value (including 1) switches to the hio path, on \
-           which the semantics-scheduler flags ($(b,--policy), \
-           $(b,--trace), $(b,--stats), $(b,--metrics), $(b,--chrome), \
-           $(b,--stuck-io)) do not apply.")
-
-let record_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "record" ] ~docv:"FILE"
-        ~doc:
-          "Write the run's interleaving log (the deterministic-replay \
-           format) to $(docv); $(b,chrun replay) re-executes it on one \
-           domain and must print a byte-identical summary. Requires \
-           $(b,--domains) of at least 2 — a single-domain run is already \
-           deterministic and writes no log.")
+(* --- the hio-runtime path: run --hio --------------------------------------- *)
 
 let hio_arg =
   Arg.(
     value & flag
     & info [ "hio" ]
         ~doc:
-          "Run on the §8 hio runtime via denotation even at \
-           $(b,--domains) 1.")
+          "Execute on the §8 hio runtime (via denotation) instead of the \
+           semantics scheduler. The semantics-scheduler flags \
+           ($(b,--policy), $(b,--trace), $(b,--stats), $(b,--metrics), \
+           $(b,--chrome), $(b,--stuck-io)) do not apply on this path.")
 
-(* The canonical summary shared by [run --domains] and [replay]: a live
-   multi-domain run and the single-domain replay of its captured log
-   must print byte-identical text (CI diffs exactly that), so every line
-   is either schedule-independent or reproduced exactly by the replay —
-   outcome, output, totals, per-thread accounting in tid order, and the
-   log's own shape. Divergence gets its own line: a clean replay never
-   prints it, so any drift breaks the diff loudly. *)
-let hio_summary ~log ppf (r : Ch_lang.Term.term Hio.Runtime.result) =
+(* The [run --hio] summary: outcome, output, totals, and per-thread
+   accounting in tid order. *)
+let hio_summary ppf (r : Ch_lang.Term.term Hio.Runtime.result) =
   (match r.Hio.Runtime.outcome with
   | Hio.Runtime.Value t ->
       Fmt.pf ppf "result: %a@." Ch_lang.Pretty.pp_term t
@@ -210,45 +183,20 @@ let hio_summary ~log ppf (r : Ch_lang.Term.term Hio.Runtime.result) =
     (fun ppf ->
       List.iter (fun (ts : Hio.Runtime.thread_stat) ->
           Fmt.pf ppf " t%d=%d" ts.Hio.Runtime.ts_id ts.Hio.Runtime.ts_steps))
-    stats;
-  (match log with
-  | Some (l : Hio.Step_journal.Replay.t) ->
-      Fmt.pf ppf "log:    %d domains, %d records, %d steps@."
-        l.Hio.Step_journal.Replay.domains
-        (Array.length l.Hio.Step_journal.Replay.records)
-        (Hio.Step_journal.Replay.total_steps l)
-  | None -> ());
-  if r.Hio.Runtime.replay_diverged then Fmt.pf ppf "replay DIVERGED@."
+    stats
 
-let hio_run program input max_steps domains record =
-  if domains < 1 then invalid_arg "--domains must be at least 1";
-  if record <> None && domains < 2 then
-    invalid_arg "--record needs --domains >= 2 (one domain writes no log)";
+let hio_run program input max_steps =
   let config =
-    {
-      Hio.Runtime.Config.default with
-      Hio.Runtime.Config.input;
-      max_steps;
-      domains;
-    }
+    { Hio.Runtime.Config.default with Hio.Runtime.Config.input; max_steps }
   in
-  let r = Ch_denote.Denote.run_result ~config program in
-  Fmt.pr "%a" (hio_summary ~log:r.Hio.Runtime.replay_log) r;
-  match (record, r.Hio.Runtime.replay_log) with
-  | Some path, Some log ->
-      let oc = open_out path in
-      output_string oc (Hio.Step_journal.Replay.to_string log);
-      close_out oc;
-      Fmt.pr "replay log written to %s@." path
-  | _ -> ()
+  Fmt.pr "%a" hio_summary (Ch_denote.Denote.run_result ~config program)
 
 let run_cmd =
   let run file expr prelude input fuel stuck_io policy seed max_steps trace
-      stats metrics chrome domains record hio =
+      stats metrics chrome hio =
     handle_syntax (fun () ->
         let program = read_program file expr prelude in
-        if domains > 1 || record <> None || hio then
-          hio_run program input max_steps domains record
+        if hio then hio_run program input max_steps
         else
         let config = config_of fuel stuck_io in
         let policy =
@@ -308,59 +256,12 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:
          "Run a program — under the semantics scheduler by default, or on \
-          the multi-domain hio runtime with $(b,--domains)/$(b,--hio).")
+          the hio runtime with $(b,--hio).")
     Term.(
       term_result'
         (const run $ file_arg $ expr_arg $ prelude_arg $ input_arg $ fuel_arg
        $ stuck_io_arg $ policy_arg $ seed_arg $ steps_arg $ trace_arg
-       $ stats_arg $ metrics_arg $ chrome_arg $ domains_arg $ record_arg
-       $ hio_arg))
-
-(* --- chrun replay ----------------------------------------------------------- *)
-
-let replay_cmd =
-  let log_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"LOG" ~doc:"Replay log written by run --record.")
-  in
-  let prog_arg =
-    Arg.(
-      value
-      & pos 1 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Program file (or use -e).")
-  in
-  let run log_path file expr prelude input max_steps =
-    handle_syntax (fun () ->
-        let program = read_program file expr prelude in
-        let ic = open_in log_path in
-        let n = in_channel_length ic in
-        let text = really_input_string ic n in
-        close_in ic;
-        let log = Hio.Step_journal.Replay.decode text in
-        let config =
-          {
-            Hio.Runtime.Config.default with
-            Hio.Runtime.Config.input;
-            max_steps;
-            replay = Some log;
-          }
-        in
-        let r = Ch_denote.Denote.run_result ~config program in
-        Fmt.pr "%a" (hio_summary ~log:(Some log)) r)
-  in
-  Cmd.v
-    (Cmd.info "replay"
-       ~doc:
-         "Re-execute a recorded multi-domain run deterministically on one \
-          domain, following its interleaving log record by record. The \
-          summary must be byte-identical to the recording run's — CI \
-          diffs the two.")
-    Term.(
-      term_result'
-        (const run $ log_arg $ prog_arg $ expr_arg $ prelude_arg $ input_arg
-       $ steps_arg))
+       $ stats_arg $ metrics_arg $ chrome_arg $ hio_arg))
 
 (* --- chrun check ------------------------------------------------------------ *)
 
@@ -606,24 +507,6 @@ let json_arg =
            stripped from the recorded command — so runs at different job \
            counts must be byte-identical (CI diffs them).")
 
-let sweep_domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Record each hio case's baseline live on $(docv) scheduler \
-           domains and sweep over its captured replay log: the kill and \
-           fault points land in a schedule with real cross-domain \
-           interleavings, and each faulted run is still fully \
-           deterministic (it replays the log up to the injection). \
-           Applies to the hio suites ($(b,std), $(b,server), $(b,sup), \
-           $(b,actor), $(b,chaos)); the corpus programs run on the \
-           semantics scheduler and ignore it. Note the live baseline's \
-           interleaving differs run to run, so reports recorded at \
-           $(docv) > 1 are deterministic per log but not across \
-           invocations — CI's cross-jobs byte-diff only applies at the \
-           default 1.")
-
 let strict_arg =
   Arg.(
     value & flag
@@ -653,12 +536,12 @@ let strip_jobs argv =
 
 (* JSON by hand (no JSON library in the tree): every string we emit is a
    known identifier, so escaping is not needed. *)
-let sweep_json path ~argv ~domains ~corpus ~std ~server ~sup ~actor ~chaos
+let sweep_json path ~argv ~corpus ~std ~server ~sup ~actor ~chaos
     ~overload ~failures =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
-  add "  \"schema_version\": 7,\n";
+  add "  \"schema_version\": 8,\n";
   add "  \"description\": \"Fault sweep record: every armed scheduler \
        step of each case re-executed with KillThread injected into the \
        acting (or targeted) thread, invariants checked after each faulted \
@@ -671,18 +554,16 @@ let sweep_json path ~argv ~domains ~corpus ~std ~server ~sup ~actor ~chaos
        site, optionally composed with kills — and the per-row fault_kinds \
        breakdown; schema 5 added the actor suite: exception-linked \
        actors — link/monitor delivery, call/stop, mailbox FIFO — and the \
-       sharded supervised server; schema 6 added the domains field — \
-       hio-suite baselines recorded live on that many scheduler domains \
-       and swept over their captured replay logs, so kill and fault \
-       points probe real cross-domain interleavings; reports with \
-       domains > 1 are deterministic per recorded log but not across \
-       invocations; schema 7 added the overload suite — deterministic \
+       sharded supervised server; schema 6 added a domains field for \
+       baselines recorded on a multi-domain scheduler; schema 7 added \
+       the overload suite — deterministic \
        open-loop load ramps at 1x/2x/5x/10x of nominal against the \
        supervised and sharded servers, composed with resource-exhaustion \
        chaos and kills, gating goodput (>= half of capacity at 10x) and \
-       the CoDel queue-delay bound).\",\n";
+       the CoDel queue-delay bound; schema 8 removed the domains field \
+       with the multi-domain scheduler — every hio case runs on the one \
+       scheduler, so every report is deterministic across invocations).\",\n";
   add "  \"command\": \"%s\",\n" (String.concat " " (strip_jobs argv));
-  add "  \"domains\": %d,\n" domains;
   add "  \"corpus\": [\n";
   List.iteri
     (fun i (r : Fault.Ch_sweep.report) ->
@@ -803,8 +684,7 @@ let sweep_json path ~argv ~domains ~corpus ~std ~server ~sup ~actor ~chaos
   close_out oc
 
 let sweep_cmd =
-  let run suite max_points max_sites kills_per_point jobs domains json
-      strict =
+  let run suite max_points max_sites kills_per_point jobs json strict =
     handle_syntax (fun () ->
         let suite =
           match suite_of_string suite with
@@ -834,7 +714,7 @@ let sweep_cmd =
           else
             List.map
               (fun c ->
-                let r = Fault.Sweep.sweep ?max_points ~jobs ~domains c in
+                let r = Fault.Sweep.sweep ?max_points ~jobs c in
                 Fmt.pr "%a@." Fault.Sweep.pp_report r;
                 failures := !failures + List.length r.Fault.Sweep.r_failures;
                 r)
@@ -846,7 +726,7 @@ let sweep_cmd =
             List.map
               (fun target ->
                 let r =
-                  Fault.Sweep.sweep ?max_points ~jobs ~domains ~target
+                  Fault.Sweep.sweep ?max_points ~jobs ~target
                     Fault.Cases.server
                 in
                 Fmt.pr "%a@." Fault.Sweep.pp_report r;
@@ -859,9 +739,7 @@ let sweep_cmd =
           else
             List.map
               (fun (case, target) ->
-                let r =
-                  Fault.Sweep.sweep ?max_points ~jobs ~domains ~target case
-                in
+                let r = Fault.Sweep.sweep ?max_points ~jobs ~target case in
                 Fmt.pr "%a@." Fault.Sweep.pp_report r;
                 failures := !failures + List.length r.Fault.Sweep.r_failures;
                 r)
@@ -872,9 +750,7 @@ let sweep_cmd =
           else
             List.map
               (fun (case, target) ->
-                let r =
-                  Fault.Sweep.sweep ?max_points ~jobs ~domains ~target case
-                in
+                let r = Fault.Sweep.sweep ?max_points ~jobs ~target case in
                 Fmt.pr "%a@." Fault.Sweep.pp_report r;
                 failures := !failures + List.length r.Fault.Sweep.r_failures;
                 r)
@@ -887,7 +763,7 @@ let sweep_cmd =
               (fun c ->
                 let r =
                   Fault.Io_sweep.sweep ~max_sites_per_op:max_sites
-                    ~kills_per_point ~jobs ~domains c
+                    ~kills_per_point ~jobs c
                 in
                 Fmt.pr "%a@." Fault.Io_sweep.pp_report r;
                 failures :=
@@ -914,7 +790,7 @@ let sweep_cmd =
         | Some path ->
             sweep_json path
               ~argv:(Array.to_list Sys.argv)
-              ~domains ~corpus ~std ~server ~sup ~actor ~chaos ~overload
+              ~corpus ~std ~server ~sup ~actor ~chaos ~overload
               ~failures:!failures
         | None -> ());
         if !failures > 0 then begin
@@ -934,7 +810,7 @@ let sweep_cmd =
     Term.(
       term_result'
         (const run $ suite_arg $ max_points_arg $ max_sites_arg
-       $ kills_per_point_arg $ jobs_arg $ sweep_domains_arg $ json_arg
+       $ kills_per_point_arg $ jobs_arg $ json_arg
        $ strict_arg))
 
 (* --- chrun repl -------------------------------------------------------------- *)
@@ -1033,5 +909,5 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ parse_cmd; run_cmd; replay_cmd; check_cmd; equiv_cmd; sweep_cmd;
+          [ parse_cmd; run_cmd; check_cmd; equiv_cmd; sweep_cmd;
             repl_cmd ]))

@@ -108,11 +108,6 @@ and _ prim =
   | Steps : int prim
   | Status_of : thread -> status prim
   | Frame_depth : int prim
-  | Domain_ix : int prim
-      (* the index of the scheduler domain executing this step (always 0
-         on a single-domain run). A sequenced step: under replay the
-         recorded domain is reported, so a program that printed its
-         domain placement replays byte-identically on one domain. *)
 
 and status = Status_running | Status_blocked of wait_reason | Status_dead
 
@@ -147,14 +142,6 @@ and thread = {
   mutable t_steps : int;  (* scheduler steps executed by this thread *)
   mutable t_blocked_count : int;  (* times this thread went T_blocked *)
   mutable t_delivered : int;  (* async exceptions raised into this thread *)
-  (* multi-domain scheduling state. [t_dom] is the domain whose deque
-     the thread was last pushed to (or that stole it) — written only
-     under the shared-state lock or by the stealing domain holding it,
-     and read under the same lock to route cross-domain throwTo through
-     the right mailbox. [t_tseq] counts this thread's replay-log records
-     (written only by the domain currently running the thread). *)
-  mutable t_dom : int;
-  mutable t_tseq : int;
 }
 
 and pending = {

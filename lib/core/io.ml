@@ -94,4 +94,3 @@ let put_string s = Prim (Put_string s)
 let get_char = Prim Get_char
 let lift f = Prim (Lift f)
 let frame_depth = Prim Frame_depth
-let domain_index = Prim Domain_ix

@@ -247,10 +247,3 @@ val lift : (unit -> 'a) -> 'a t
 val frame_depth : int t
 (** The current depth of this thread's continuation stack — instrumentation
     for the §8.1 constant-stack claim. *)
-
-val domain_index : int t
-(** The index of the scheduler domain executing this step: [0 .. N-1]
-    under [Runtime.Config.domains = N], always [0] on a single-domain
-    run. Under [Runtime.Config.replay] the {e recorded} domain index is
-    reported, so a program that observed its placement replays
-    byte-identically on one domain. *)

@@ -41,12 +41,6 @@ let pop q =
   q.len <- q.len - 1;
   x
 
-let pop_back q =
-  if q.len = 0 then invalid_arg "Runq.pop_back: empty";
-  let x = q.buf.((q.head + q.len - 1) land (Array.length q.buf - 1)) in
-  q.len <- q.len - 1;
-  x
-
 let remove q i =
   if i < 0 || i >= q.len then invalid_arg "Runq.remove: index out of bounds";
   let mask = Array.length q.buf - 1 in

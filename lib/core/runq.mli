@@ -28,14 +28,6 @@ val pop : 'a t -> 'a
 (** Remove and return the head (oldest element). O(1).
     @raise Invalid_argument when empty — guard with {!is_empty}. *)
 
-val pop_back : 'a t -> 'a
-(** Remove and return the tail (newest element). O(1). This is the
-    thief's end of the multi-domain scheduler's per-domain deques: the
-    owner pops oldest-first (round-robin fairness), thieves take from
-    the back, Chase–Lev style, so the two ends contend on different
-    elements.
-    @raise Invalid_argument when empty. *)
-
 val remove : 'a t -> int -> 'a
 (** [remove q i] removes and returns the i-th oldest element (0 is the
     head), keeping the remaining elements in order. O(min(i, n-i)).

@@ -51,8 +51,6 @@ module Config = struct
     inject : (step:int -> running:int -> (int * exn) option) option;
     journal : Step_journal.t option;
     event_source : event_source option;
-    domains : int;
-    replay : Step_journal.Replay.t option;
   }
 
   let default =
@@ -67,8 +65,6 @@ module Config = struct
       inject = None;
       journal = None;
       event_source = None;
-      domains = 1;
-      replay = None;
     }
 end
 
@@ -119,14 +115,6 @@ type blocked_thread = {
   bt_fd : int option;
 }
 
-type domain_stat = {
-  ds_dom : int;
-  ds_steps : int;
-  ds_steals : int;
-  ds_posts : int;
-  ds_records : int;
-}
-
 type 'a result = {
   outcome : 'a outcome;
   output : string;
@@ -137,9 +125,6 @@ type 'a result = {
   thread_stats : thread_stat list;
   blocked_at_exit : blocked_thread list;
   injections : int;
-  domain_stats : domain_stat list;
-  replay_log : Step_journal.Replay.t option;
-  replay_diverged : bool;
 }
 
 let pp_thread_stat ppf ts =
@@ -207,7 +192,7 @@ type state = {
   config : Config.t;
   rng : Random.State.t option;
   mutable now : int;
-  mutable runq : thread Runq.t;  (* FIFO ring deque: head runs next *)
+  runq : thread Runq.t;  (* FIFO ring deque: head runs next *)
   mutable all_threads : thread list;  (* newest first *)
   wheel : timer_kind Timer_wheel.t;  (* all sleep/alarm deadlines *)
   fd_readers : (int, fd_waiter Queue.t) Hashtbl.t;
@@ -222,19 +207,9 @@ type state = {
   mutable forks : int;
   mutable injections : int;  (* fault-injection hook deliveries applied *)
   mutable finished : bool;  (* main thread done *)
-  (* multi-domain plumbing. On a single-domain run: [cur_dom] is 0,
-     [boxes] is empty, [poke] is a no-op and [enqueue_hook] pushes
-     [runq] — the seed scheduler, bit for bit. A live multi-domain run
-     points [enqueue_hook] at the lock-holding domain's deque and [poke]
-     at the per-domain mailbox flags; a replay points [boxes] at virtual
-     mailboxes so cross-domain throwTo routes exactly as recorded. *)
-  mutable cur_dom : int;
-  boxes : (thread * pending) Queue.t array;
-  mutable poke : int -> unit;
-  mutable enqueue_hook : thread -> unit;
 }
 
-let enqueue st t = st.enqueue_hook t
+let enqueue st t = Runq.push st.runq t
 
 let emit st event =
   match st.config.Config.tracer with Some f -> f event | None -> ()
@@ -272,16 +247,10 @@ let interrupt_if_blocked st target =
   | (T_run _ | T_dead _ | T_blocked _), _ -> ()
 
 (* Append [entry] to [target]'s pending queue and apply rule (Interrupt)
-   if it is blocked. When the target is running on another domain, its
-   owner is poked so the boundary delivery check of §8.1 notices the new
-   entry promptly (the poke's atomic write also publishes the append
-   under the OCaml memory model). A no-op distinction on one domain. *)
+   if it is blocked. *)
 let post_now st target entry =
   target.t_pending <- target.t_pending @ [ entry ];
-  interrupt_if_blocked st target;
-  match target.t_state with
-  | T_run _ when target.t_dom <> st.cur_dom -> st.poke target.t_dom
-  | T_run _ | T_blocked _ | T_dead _ -> ()
+  interrupt_if_blocked st target
 
 (* --- MVar plumbing ------------------------------------------------------ *)
 
@@ -409,8 +378,6 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
           t_steps = 0;
           t_blocked_count = 0;
           t_delivered = 0;
-          t_dom = st.cur_dom;
-          t_tseq = 0;
         }
       in
       st.next_tid <- st.next_tid + 1;
@@ -492,20 +459,6 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
       | T_dead _ -> continue () (* trivially succeeds (§5) *)
       | T_run _ | T_blocked _ ->
           emit st (Ev_throw_to { source = t.t_id; target = target.t_id; exn = e });
-          (* Cross-domain delivery: a target {e running} on another
-             domain gets the entry through that domain's FIFO mailbox
-             (drained under the shared-state lock at the owner's next
-             step boundary — the supervisor mailbox discipline), instead
-             of a direct append the owner might not observe. Blocked and
-             same-domain targets take the direct path, exactly the
-             single-domain semantics. *)
-          let remote_running =
-            Array.length st.boxes > 0
-            &&
-            match target.t_state with
-            | T_run _ -> target.t_dom <> st.cur_dom
-            | T_blocked _ | T_dead _ -> false
-          in
           if st.config.sync_throw_to then
             if target == t then
               (* §9: the synchronous version needs a special case for a
@@ -536,27 +489,12 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
                         set_run sender (Pack (Pure (), frames));
                         enqueue st sender
                     | T_run _ | T_dead _ -> ());
-              if remote_running then begin
-                Queue.add (target, entry) st.boxes.(target.t_dom);
-                st.poke target.t_dom
-              end
-              else begin
-                target.t_pending <- target.t_pending @ [ entry ];
-                interrupt_if_blocked st target
-              end
+              post_now st target entry
             end
           else begin
             (* §8.2: place the exception on the target's pending queue and
                return immediately. *)
-            let entry = { p_exn = e; p_on_delivered = None } in
-            if remote_running then begin
-              Queue.add (target, entry) st.boxes.(target.t_dom);
-              st.poke target.t_dom
-            end
-            else begin
-              target.t_pending <- target.t_pending @ [ entry ];
-              interrupt_if_blocked st target
-            end;
+            post_now st target { p_exn = e; p_on_delivered = None };
             continue ()
           end)
   | Sleep d ->
@@ -668,7 +606,6 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
         | T_blocked b -> Status_blocked b.b_why
         | T_dead _ -> Status_dead)
   | Frame_depth -> continue t.t_frame_depth
-  | Domain_ix -> continue st.cur_dom
 
 let enter_mask st t new_mask body frames =
   if t.t_mask = new_mask then set_run t (Pack (body, frames))
@@ -805,9 +742,7 @@ let apply_injection st t =
               | T_dead _ -> ()
               | T_run _ | T_blocked _ ->
                   st.injections <- st.injections + 1;
-                  target.t_pending <-
-                    target.t_pending @ [ { p_exn = e; p_on_delivered = None } ];
-                  interrupt_if_blocked st target)))
+                  post_now st target { p_exn = e; p_on_delivered = None })))
 
 (* Run one scheduling slice of [t]: the step-boundary delivery check of
    §8.1 ("at regular intervals during execution inside unblock, the pending
@@ -914,52 +849,37 @@ let poll_event_source st es ~blocking =
       emit st (Ev_clock { now = st.now });
       List.iter (fire_timer st) fired
 
-(* --- state construction, shared by all three engines --------------------- *)
+(* --- the run ------------------------------------------------------------- *)
 
-let make_state config boxes =
+let make_state config =
   let start_now =
     match config.Config.event_source with None -> 0 | Some es -> es.es_now ()
   in
-  let st =
-    {
-      config;
-      rng =
-        (match config.Config.policy with
-        | Config.Round_robin -> None
-        | Config.Random seed -> Some (Random.State.make [| seed |]));
-      now = start_now;
-      runq = Runq.create ();
-      all_threads = [];
-      wheel = Timer_wheel.create ~start:start_now ();
-      fd_readers = Hashtbl.create 16;
-      fd_writers = Hashtbl.create 16;
-      fd_live = 0;
-      next_timer = 0;
-      input =
-        List.init (String.length config.Config.input)
-          (String.get config.Config.input);
-      output = Buffer.create 64;
-      steps = 0;
-      next_tid = 1;
-      next_mv = 0;
-      forks = 1;
-      injections = 0;
-      finished = false;
-      cur_dom = 0;
-      boxes;
-      poke = (fun _ -> ());
-      enqueue_hook = (fun _ -> ());
-    }
-  in
-  (* The default hook is the single-domain (and replay) scheduler: push
-     the global run queue and stamp the thread with the domain the
-     enqueueing step ran on — wakeup migration, exactly what a live
-     domain's hook does to its own deque. *)
-  st.enqueue_hook <-
-    (fun t ->
-      t.t_dom <- st.cur_dom;
-      Runq.push st.runq t);
-  st
+  {
+    config;
+    rng =
+      (match config.Config.policy with
+      | Config.Round_robin -> None
+      | Config.Random seed -> Some (Random.State.make [| seed |]));
+    now = start_now;
+    runq = Runq.create ();
+    all_threads = [];
+    wheel = Timer_wheel.create ~start:start_now ();
+    fd_readers = Hashtbl.create 16;
+    fd_writers = Hashtbl.create 16;
+    fd_live = 0;
+    next_timer = 0;
+    input =
+      List.init (String.length config.Config.input)
+        (String.get config.Config.input);
+    output = Buffer.create 64;
+    steps = 0;
+    next_tid = 1;
+    next_mv = 0;
+    forks = 1;
+    injections = 0;
+    finished = false;
+  }
 
 let make_main st main_io result =
   let main_thread =
@@ -981,15 +901,13 @@ let make_main st main_io result =
       t_steps = 0;
       t_blocked_count = 0;
       t_delivered = 0;
-      t_dom = 0;
-      t_tseq = 0;
     }
   in
   st.all_threads <- [ main_thread ];
   main_thread
 
-(* The single-domain scheduling loop — the seed scheduler, also the
-   continuation a replay falls back to when it diverges from its log. *)
+(* The scheduling loop: run slices until main finishes, the step budget
+   runs out, or no thread is runnable and no timer or fd can wake one. *)
 let main_loop st config result =
   let outcome = ref Out_of_steps in
   let running = ref true in
@@ -1033,8 +951,7 @@ let main_loop st config result =
   done;
   !outcome
 
-let finish st ~outcome ?(domain_stats = []) ?replay_log
-    ?(replay_diverged = false) () =
+let finish st outcome =
   {
     outcome;
     output = Buffer.contents st.output;
@@ -1089,679 +1006,13 @@ let finish st ~outcome ?(domain_stats = []) ?replay_log
                    })
            st.all_threads);
     injections = st.injections;
-    domain_stats;
-    replay_log;
-    replay_diverged;
   }
 
-let run_single config main_io =
-  let result = ref None in
-  let st = make_state config [||] in
-  let main_thread = make_main st main_io result in
-  enqueue st main_thread;
-  let outcome = main_loop st config result in
-  finish st ~outcome ()
-
-(* --- step classification -------------------------------------------------- *)
-
-(* Is this step purely thread-local — touching only the thread's own
-   continuation, mask, and frame counters? Local steps run outside the
-   multi-domain shared-state lock and are replayed unsequenced: they
-   commute with every other thread's steps. Everything else (MVar
-   traffic, fork, throwTo, timers, console, [Lift], death at [F_stop])
-   reads or writes shared scheduler state and must run under the lock,
-   in a globally sequenced order. [Yield] is local but ends the segment
-   (the scheduler switches threads). *)
-let step_is_local (Pack (io, frames)) =
-  match io with
-  | Pure _ | Throw _ | Throw_async _ -> (
-      match frames with
-      | F_stop _ -> false (* thread exit publishes to the result sink *)
-      | F_bind _ | F_catch _ | F_catch_sync _ | F_mask _ -> true)
-  | Bind _ | Catch _ | Catch_sync _ | Mask _ | Mask_restore _ -> true
-  | Prim p -> (
-      match p with
-      | My_tid | Masked | Mask_state | Frame_depth | Yield -> true
-      | _ -> false)
-
-(* --- the multi-domain work-stealing engine -------------------------------- *)
-
-module Rlog = Step_journal.Replay
-
-type dom_ctx = {
-  d_ix : int;
-  d_deque : thread Runq.t;  (* owner pops head; thieves pop the back *)
-  d_lock : Mutex.t;  (* guards [d_deque] only *)
-  d_poke : bool Atomic.t;  (* "your mailbox has entries" hint *)
-  d_buf : Rlog.buf;  (* this domain's replay records *)
-  mutable d_steps : int;  (* steps executed by this domain *)
-  mutable d_flushed : int;  (* portion already folded into [st.steps] *)
-  mutable d_steals : int;
-  mutable d_posts : int;  (* mailbox entries this domain drained *)
-  mutable d_victim : int;  (* steal rotor *)
-  mutable d_enq : thread -> unit;  (* [enqueue_hook] while this domain
-                                      holds the shared-state lock *)
-}
-
-type multi = {
-  m_gl : Mutex.t;  (* the shared-state lock: all sequenced steps *)
-  m_cond : Condition.t;  (* idle domains park here *)
-  m_doms : dom_ctx array;
-  mutable m_seq : int;  (* global sequence counter (under the lock) *)
-  mutable m_runnable : int;  (* queued + running threads (under the lock) *)
-  m_stop : bool Atomic.t;
-  mutable m_idlers : int;  (* under the lock *)
-  mutable m_late : [ `Deadlock | `Out_of_steps ] option;  (* under the lock *)
-  m_fatal : exn option Atomic.t;  (* a domain crashed (runtime bug) *)
-}
-
-let quantum = 64 (* steps one thread may run before requeueing *)
-let local_flush = 1024 (* local steps between global-budget flushes *)
-
-(* Entering the lock-held region: subsequent shared-state mutations
-   (wakeups, forks) must attribute to this domain. *)
-let set_ctx st d =
-  st.cur_dom <- d.d_ix;
-  st.enqueue_hook <- d.d_enq
-
-let next_seq m =
-  let s = m.m_seq in
-  m.m_seq <- s + 1;
-  s
-
-let flush_steps st d =
-  if d.d_steps > d.d_flushed then begin
-    st.steps <- st.steps + (d.d_steps - d.d_flushed);
-    d.d_flushed <- d.d_steps
-  end
-
-(* Callers hold the shared-state lock (except the fatal path, where the
-   lost-wakeup race does not matter: every domain is about to die). *)
-let stop_multi m =
-  if not (Atomic.get m.m_stop) then begin
-    Atomic.set m.m_stop true;
-    Condition.broadcast m.m_cond
-  end
-
-(* Drain one mailbox under the lock: each entry lands on its target's
-   pending queue exactly as a same-domain throwTo would have, and is
-   recorded so the replay re-posts it at the same global instant. *)
-let drain_box st m d box =
-  let q = st.boxes.(box) in
-  while not (Queue.is_empty q) do
-    let u, entry = Queue.pop q in
-    Rlog.buf_add d.d_buf
-      {
-        Rlog.r_kind = Rlog.K_post;
-        r_dom = d.d_ix;
-        r_tid = u.t_id;
-        r_tseq = box;
-        r_steps = 0;
-        r_seq = next_seq m;
-      };
-    d.d_posts <- d.d_posts + 1;
-    post_now st u entry
-  done
-
-let drain_all_boxes st m d =
-  Array.iteri (fun i q -> if not (Queue.is_empty q) then drain_box st m d i)
-    st.boxes
-
-(* No runnable thread anywhere (under the lock): drain every mailbox (a
-   parked entry can wake a blocked thread), then either finish, advance
-   the virtual clock, or declare deadlock. *)
-let quiesce st m d =
-  if not (Atomic.get m.m_stop) then begin
-    drain_all_boxes st m d;
-    if m.m_runnable > 0 then () (* a drain woke someone *)
-    else if st.finished then stop_multi m
-    else if Timer_wheel.next_deadline st.wheel <> None then begin
-      Rlog.buf_add d.d_buf
-        {
-          Rlog.r_kind = Rlog.K_clock;
-          r_dom = d.d_ix;
-          r_tid = 0;
-          r_tseq = 0;
-          r_steps = 0;
-          r_seq = next_seq m;
-        };
-      ignore (advance_clock st)
-    end
-    else begin
-      m.m_late <- Some `Deadlock;
-      stop_multi m
-    end
-  end
-
-let requeue d t =
-  Mutex.lock d.d_lock;
-  Runq.push d.d_deque t;
-  Mutex.unlock d.d_lock
-
-(* The mailbox hint fired: drain our own box under the lock. *)
-let service_poke st m d =
-  Mutex.lock m.m_gl;
-  set_ctx st d;
-  Atomic.set d.d_poke false;
-  drain_box st m d d.d_ix;
-  Mutex.unlock m.m_gl
-
-(* A sequenced step boundary: take the lock, re-run the §8.1 delivery
-   check authoritatively, execute the one shared-state step (or the
-   delivery that preempts it), and record the segment. Returns whether
-   the thread is still runnable. *)
-let boundary st m d t packed seg =
-  Mutex.lock m.m_gl;
-  set_ctx st d;
-  let deliver = t.t_mask = Mask_none && t.t_pending <> [] in
-  let packed =
-    if deliver then
-      deliver_pending st t (fun e ->
-          let (Pack (_, frames)) = packed in
-          Pack (Throw_async e, frames))
-    else packed
-  in
-  d.d_steps <- d.d_steps + 1;
-  t.t_steps <- t.t_steps + 1;
-  flush_steps st d;
-  (try exec_step st t packed
-   with e ->
-     Mutex.unlock m.m_gl;
-     raise e);
-  t.t_tseq <- t.t_tseq + 1;
-  Rlog.buf_add d.d_buf
-    {
-      Rlog.r_kind = (if deliver then Rlog.K_deliver else Rlog.K_op);
-      r_dom = d.d_ix;
-      r_tid = t.t_id;
-      r_tseq = t.t_tseq;
-      r_steps = seg + 1;
-      r_seq = next_seq m;
-    };
-  let still =
-    match t.t_state with T_run _ -> true | T_blocked _ | T_dead _ -> false
-  in
-  if not still then begin
-    m.m_runnable <- m.m_runnable - 1;
-    if m.m_runnable = 0 then quiesce st m d
-  end;
-  if st.finished then stop_multi m
-  else if st.steps >= st.config.Config.max_steps && not (Atomic.get m.m_stop)
-  then begin
-    m.m_late <- Some `Out_of_steps;
-    stop_multi m
-  end;
-  Mutex.unlock m.m_gl;
-  still
-
-(* Close the open local segment so the record stream stays replayable. *)
-let end_segment d t seg =
-  if seg > 0 then begin
-    t.t_tseq <- t.t_tseq + 1;
-    Rlog.buf_add d.d_buf
-      {
-        Rlog.r_kind = Rlog.K_end;
-        r_dom = d.d_ix;
-        r_tid = t.t_id;
-        r_tseq = t.t_tseq;
-        r_steps = seg;
-        r_seq = 0;
-      }
-  end
-
-(* Run one thread for up to a quantum: purely local steps execute
-   lock-free; the delivery check and every shared-state step go through
-   [boundary]. *)
-let run_thread st m d t =
-  let total = ref 0 and seg = ref 0 in
-  let running = ref true in
-  while !running do
-    if Atomic.get d.d_poke then service_poke st m d;
-    match t.t_state with
-    | T_blocked _ | T_dead _ -> running := false
-    | T_run packed ->
-        (* Advisory read: pending appended by another domain may be seen
-           late (we re-check under the lock in [boundary]; any purely
-           local stretch is bounded by [local_flush] lock acquisitions,
-           which also synchronize this read). *)
-        let want_deliver = t.t_mask = Mask_none && t.t_pending <> [] in
-        if want_deliver || not (step_is_local packed) then begin
-          let still = boundary st m d t packed !seg in
-          seg := 0;
-          incr total;
-          if (not still) || Atomic.get m.m_stop then running := false
-          else if !total >= quantum then begin
-            requeue d t;
-            running := false
-          end
-        end
-        else begin
-          d.d_steps <- d.d_steps + 1;
-          t.t_steps <- t.t_steps + 1;
-          incr seg;
-          incr total;
-          let yielded =
-            match packed with Pack (Prim Yield, _) -> true | _ -> false
-          in
-          exec_step st t packed;
-          if yielded || !total >= quantum then begin
-            end_segment d t !seg;
-            seg := 0;
-            requeue d t;
-            running := false
-          end
-          else if d.d_steps - d.d_flushed >= local_flush then begin
-            (* A long purely-local stretch: fold the step count into the
-               global budget so [max_steps] still bounds local livelock. *)
-            Mutex.lock m.m_gl;
-            set_ctx st d;
-            flush_steps st d;
-            if
-              st.steps >= st.config.Config.max_steps
-              && not (Atomic.get m.m_stop)
-            then begin
-              m.m_late <- Some `Out_of_steps;
-              stop_multi m
-            end;
-            Mutex.unlock m.m_gl;
-            if Atomic.get m.m_stop then begin
-              end_segment d t !seg;
-              seg := 0;
-              requeue d t;
-              running := false
-            end
-          end
-        end
-  done
-
-(* Steal half the victim's deque, oldest entries first (the back of the
-   ring is the freshest work; taking from the back keeps the owner's
-   round-robin head contention-free, Chase–Lev style). *)
-let try_steal st m d =
-  let n = Array.length m.m_doms in
-  let found = ref false in
-  for k = 0 to n - 1 do
-    if not !found then begin
-      let v = m.m_doms.((d.d_victim + k) mod n) in
-      if v.d_ix <> d.d_ix && Runq.length v.d_deque > 0 then begin
-        Mutex.lock m.m_gl;
-        set_ctx st d;
-        Mutex.lock v.d_lock;
-        let half = (Runq.length v.d_deque + 1) / 2 in
-        for _ = 1 to half do
-          if not (Runq.is_empty v.d_deque) then begin
-            let t = Runq.pop_back v.d_deque in
-            t.t_dom <- d.d_ix;
-            Rlog.buf_add d.d_buf
-              {
-                Rlog.r_kind = Rlog.K_steal;
-                r_dom = d.d_ix;
-                r_tid = t.t_id;
-                r_tseq = 0;
-                r_steps = 0;
-                r_seq = next_seq m;
-              };
-            d.d_steals <- d.d_steals + 1;
-            Mutex.lock d.d_lock;
-            Runq.push d.d_deque t;
-            Mutex.unlock d.d_lock;
-            found := true
-          end
-        done;
-        Mutex.unlock v.d_lock;
-        Mutex.unlock m.m_gl
-      end
-    end
-  done;
-  d.d_victim <- (d.d_victim + 1) mod n;
-  !found
-
-let pop_own d =
-  Mutex.lock d.d_lock;
-  let t =
-    if Runq.is_empty d.d_deque then None else Some (Runq.pop d.d_deque)
-  in
-  Mutex.unlock d.d_lock;
-  t
-
-(* Nothing to run, nothing to steal: drain mailboxes, and either detect
-   quiescence (this domain runs the clock/deadlock decision) or park on
-   the condition until a producer signals. *)
-let idle st m d =
-  Mutex.lock m.m_gl;
-  set_ctx st d;
-  drain_all_boxes st m d;
-  let work =
-    Runq.length d.d_deque > 0
-    || Array.exists
-         (fun v -> v.d_ix <> d.d_ix && Runq.length v.d_deque > 0)
-         m.m_doms
-  in
-  if work || Atomic.get m.m_stop then Mutex.unlock m.m_gl
-  else if m.m_runnable = 0 then begin
-    quiesce st m d;
-    Mutex.unlock m.m_gl
-  end
-  else begin
-    m.m_idlers <- m.m_idlers + 1;
-    Condition.wait m.m_cond m.m_gl;
-    m.m_idlers <- m.m_idlers - 1;
-    Mutex.unlock m.m_gl
-  end
-
-let rec dom_loop st m d =
-  if not (Atomic.get m.m_stop) then begin
-    (match pop_own d with
-    | Some t -> run_thread st m d t
-    | None -> if not (try_steal st m d) then idle st m d);
-    dom_loop st m d
-  end
-
-let run_multi config main_io =
-  let ndom = config.Config.domains in
-  if config.Config.tracer <> None then
-    invalid_arg
-      "Runtime.run: tracer is unsupported with domains > 1 (record a replay \
-       log and trace the replay)";
-  if config.Config.inject <> None then
-    invalid_arg
-      "Runtime.run: inject is unsupported with domains > 1 (inject into a \
-       replay instead)";
-  if config.Config.event_source <> None then
-    invalid_arg "Runtime.run: event_source is unsupported with domains > 1";
-  (match config.Config.policy with
-  | Config.Round_robin -> ()
-  | Config.Random _ ->
-      invalid_arg "Runtime.run: the Random policy is unsupported with \
-                   domains > 1");
-  let result = ref None in
-  let st = make_state config (Array.init ndom (fun _ -> Queue.create ())) in
-  let doms =
-    Array.init ndom (fun i ->
-        {
-          d_ix = i;
-          d_deque = Runq.create ();
-          d_lock = Mutex.create ();
-          d_poke = Atomic.make false;
-          d_buf = Rlog.buf_create ();
-          d_steps = 0;
-          d_flushed = 0;
-          d_steals = 0;
-          d_posts = 0;
-          d_victim = (i + 1) mod ndom;
-          d_enq = ignore;
-        })
-  in
-  let m =
-    {
-      m_gl = Mutex.create ();
-      m_cond = Condition.create ();
-      m_doms = doms;
-      m_seq = 0;
-      m_runnable = 0;
-      m_stop = Atomic.make false;
-      m_idlers = 0;
-      m_late = None;
-      m_fatal = Atomic.make None;
-    }
-  in
-  Array.iter
-    (fun d ->
-      d.d_enq <-
-        (fun t ->
-          t.t_dom <- d.d_ix;
-          m.m_runnable <- m.m_runnable + 1;
-          Mutex.lock d.d_lock;
-          Runq.push d.d_deque t;
-          Mutex.unlock d.d_lock;
-          if m.m_idlers > 0 then Condition.signal m.m_cond))
-    doms;
-  st.poke <- (fun i -> Atomic.set doms.(i).d_poke true);
-  let main_thread = make_main st main_io result in
-  doms.(0).d_enq main_thread;
-  let worker d () =
-    try dom_loop st m d
-    with e ->
-      ignore (Atomic.compare_and_set m.m_fatal None (Some e));
-      stop_multi m
-  in
-  let spawned =
-    Array.init (ndom - 1) (fun i -> Domain.spawn (worker doms.(i + 1)))
-  in
-  worker doms.(0) ();
-  Array.iter Domain.join spawned;
-  (match Atomic.get m.m_fatal with Some e -> raise e | None -> ());
-  Array.iter (fun d -> flush_steps st d) doms;
-  let log = Rlog.merge ~domains:ndom (Array.map (fun d -> d.d_buf) doms) in
-  (* Synthesize the per-step journal the replay of this log writes: one
-     note per executed step, in merged (replay) order. *)
-  (match config.Config.journal with
-  | None -> ()
-  | Some j ->
-      let step = ref 0 in
-      Array.iter
-        (fun r ->
-          match r.Rlog.r_kind with
-          | Rlog.K_op | Rlog.K_deliver | Rlog.K_end ->
-              for _ = 1 to r.Rlog.r_steps do
-                Step_journal.note j ~step:!step ~running:r.Rlog.r_tid;
-                incr step
-              done
-          | Rlog.K_post | Rlog.K_steal | Rlog.K_clock -> ())
-        log.Rlog.records);
-  let outcome =
-    if st.finished then
-      match !result with
-      | Some (Ok v) -> Value v
-      | Some (Error e) -> Uncaught e
-      | None -> assert false
-    else
-      match m.m_late with
-      | Some `Deadlock -> Deadlock
-      | Some `Out_of_steps | None -> Out_of_steps
-  in
-  let domain_stats =
-    Array.to_list
-      (Array.map
-         (fun d ->
-           let recs =
-             Array.fold_left
-               (fun acc r -> if r.Rlog.r_dom = d.d_ix then acc + 1 else acc)
-               0 log.Rlog.records
-           in
-           {
-             ds_dom = d.d_ix;
-             ds_steps = d.d_steps;
-             ds_steals = d.d_steals;
-             ds_posts = d.d_posts;
-             ds_records = recs;
-           })
-         doms)
-  in
-  finish st ~outcome ~domain_stats ~replay_log:log ()
-
-(* --- deterministic replay ------------------------------------------------- *)
-
-(* Re-execute a recorded multi-domain run on one domain by walking the
-   merged record stream. The log pins every scheduling decision; the
-   thread-local steps in between are deterministic given the decisions,
-   so the replay reproduces the run exactly — outcome, output, ids,
-   per-thread statistics.
-
-   The replay is {e lenient}: if the program's behavior does not match
-   the log (the program changed, or a fault-injection hook perturbed the
-   run — that is how the kill sweep explores schedules recorded from a
-   live multi-domain run), the replay notes the divergence and continues
-   under the free single-domain round-robin scheduler from the exact
-   divergence state, which is still fully deterministic. *)
-let run_replay config log main_io =
-  if config.Config.event_source <> None then
-    invalid_arg "Runtime.run: event_source is unsupported under replay";
-  let result = ref None in
-  let ndom = max 1 log.Rlog.domains in
-  let st = make_state config (Array.init ndom (fun _ -> Queue.create ())) in
-  let main_thread = make_main st main_io result in
-  enqueue st main_thread;
-  let threads : (int, thread) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.add threads 0 main_thread;
-  let known = ref 1 in
-  let sync_threads () =
-    (* index threads forked by the steps just executed (newest first) *)
-    if st.next_tid > !known then begin
-      let rec add i l =
-        if i > 0 then
-          match l with
-          | u :: rest ->
-              Hashtbl.replace threads u.t_id u;
-              add (i - 1) rest
-          | [] -> ()
-      in
-      add (st.next_tid - !known) st.all_threads;
-      known := st.next_tid
-    end
-  in
-  let note_step t =
-    match config.Config.journal with
-    | None -> ()
-    | Some j -> Step_journal.note j ~step:st.steps ~running:t.t_id
-  in
-  let diverged = ref false in
-  let records = log.Rlog.records in
-  let nrec = Array.length records in
-  let ri = ref 0 in
-  while (not !diverged) && !ri < nrec do
-    let r = records.(!ri) in
-    incr ri;
-    st.cur_dom <- r.Rlog.r_dom;
-    match r.Rlog.r_kind with
-    | Rlog.K_steal -> (
-        match Hashtbl.find_opt threads r.Rlog.r_tid with
-        | Some u -> u.t_dom <- r.Rlog.r_dom
-        | None -> diverged := true)
-    | Rlog.K_clock -> if not (advance_clock st) then diverged := true
-    | Rlog.K_post -> (
-        match Queue.take_opt st.boxes.(r.Rlog.r_tseq) with
-        | Some (u, entry) when u.t_id = r.Rlog.r_tid -> post_now st u entry
-        | Some _ | None -> diverged := true)
-    | Rlog.K_op | Rlog.K_deliver | Rlog.K_end -> (
-        match Hashtbl.find_opt threads r.Rlog.r_tid with
-        | None -> diverged := true
-        | Some t ->
-            let k = r.Rlog.r_steps in
-            let j = ref 0 in
-            while (not !diverged) && !j < k do
-              incr j;
-              let last = !j = k in
-              match t.t_state with
-              | T_blocked _ | T_dead _ -> diverged := true
-              | T_run packed ->
-                  note_step t;
-                  let before = st.injections in
-                  apply_injection st t;
-                  if st.injections > before then begin
-                    (* The fault hook perturbed the run: execute this one
-                       step with full single-domain semantics (delivery
-                       check included) and hand over to the free
-                       scheduler. *)
-                    let packed =
-                      if t.t_mask = Mask_none && t.t_pending <> [] then
-                        deliver_pending st t (fun e ->
-                            let (Pack (_, frames)) = packed in
-                            Pack (Throw_async e, frames))
-                      else packed
-                    in
-                    st.steps <- st.steps + 1;
-                    t.t_steps <- t.t_steps + 1;
-                    exec_step st t packed;
-                    diverged := true
-                  end
-                  else if last && r.Rlog.r_kind = Rlog.K_deliver then
-                    if t.t_mask <> Mask_none || t.t_pending = [] then
-                      diverged := true
-                    else begin
-                      let packed =
-                        deliver_pending st t (fun e ->
-                            let (Pack (_, frames)) = packed in
-                            Pack (Throw_async e, frames))
-                      in
-                      st.steps <- st.steps + 1;
-                      t.t_steps <- t.t_steps + 1;
-                      exec_step st t packed
-                    end
-                  else begin
-                    (* A recorded plain step: local everywhere except the
-                       sequenced step a [K_op] segment ends in. Pending
-                       exceptions wait for their recorded [K_deliver] —
-                       live domains notice cross-domain posts with the
-                       same bounded lag. *)
-                    let local = step_is_local packed in
-                    let expect_local = not (last && r.Rlog.r_kind = Rlog.K_op)
-                    in
-                    if local <> expect_local then diverged := true
-                    else begin
-                      st.steps <- st.steps + 1;
-                      t.t_steps <- t.t_steps + 1;
-                      exec_step st t packed
-                    end
-                  end
-            done;
-            sync_threads ())
-  done;
-  if st.finished && not !diverged then
-    let outcome =
-      match !result with
-      | Some (Ok v) -> Value v
-      | Some (Error e) -> Uncaught e
-      | None -> assert false
-    in
-    finish st ~outcome ~replay_log:log ()
-  else if !diverged then begin
-    (* Flush undrained mailbox entries (their throwTo already returned),
-       then continue under the free single-domain scheduler from the
-       exact divergence state. *)
-    Array.iter
-      (fun box ->
-        while not (Queue.is_empty box) do
-          let u, entry = Queue.pop box in
-          u.t_pending <- u.t_pending @ [ entry ];
-          interrupt_if_blocked st u
-        done)
-      st.boxes;
-    st.cur_dom <- 0;
-    List.iter (fun u -> u.t_dom <- 0) st.all_threads;
-    st.runq <- Runq.create ();
-    List.iter
-      (fun u ->
-        match u.t_state with
-        | T_run _ -> Runq.push st.runq u
-        | T_blocked _ | T_dead _ -> ())
-      (List.rev st.all_threads);
-    let outcome = main_loop st config result in
-    finish st ~outcome ~replay_log:log ~replay_diverged:true ()
-  end
-  else
-    (* Log exhausted without finishing: reproduce how the recorded run
-       stopped. *)
-    let runnable =
-      List.exists
-        (fun u -> match u.t_state with T_run _ -> true | _ -> false)
-        st.all_threads
-    in
-    let outcome =
-      if runnable || Timer_wheel.next_deadline st.wheel <> None then
-        Out_of_steps
-      else Deadlock
-    in
-    finish st ~outcome ~replay_log:log ()
-
 let run ?(config = Config.default) main_io =
-  if config.Config.domains < 1 then
-    invalid_arg "Runtime.run: domains must be >= 1";
-  match config.Config.replay with
-  | Some log -> run_replay config log main_io
-  | None ->
-      if config.Config.domains > 1 then run_multi config main_io
-      else run_single config main_io
+  let result = ref None in
+  let st = make_state config in
+  enqueue st (make_main st main_io result);
+  finish st (main_loop st config result)
 
 let run_value ?config io =
   match (run ?config io).outcome with

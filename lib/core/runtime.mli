@@ -110,28 +110,6 @@ module Config : sig
             the timer wheel's next deadline as timeout, the clock follows
             [es.es_now], and a busy scheduler polls readiness every 1024
             steps so fd waiters and deadlines are serviced under load. *)
-    domains : int;
-        (** [1] (default): the seed's deterministic single-domain
-            scheduler. [N > 1]: shard across [N] OCaml domains, each with
-            its own work-stealing deque; cross-domain [throw_to] routes
-            through per-domain FIFO mailboxes drained at the owner's next
-            sequenced step. A multi-domain run is {e scheduling}-
-            nondeterministic but records every decision into a replay log
-            (see {!field-result.replay_log}); it rejects [tracer],
-            [inject], [event_source] and the [Random] policy with
-            [Invalid_argument] — trace or inject into the replay
-            instead. *)
-    replay : Step_journal.Replay.t option;
-        (** re-execute a recorded multi-domain run deterministically on
-            one domain. Reproduces outcome, output, thread ids,
-            per-thread statistics and the step journal. [tracer] and
-            [inject] are fully supported (that is how the kill sweep
-            explores multi-domain schedules); if the program or a fault
-            hook diverges from the log, the replay continues under the
-            free single-domain scheduler from the exact divergence state
-            (still deterministic) and sets
-            {!field-result.replay_diverged}. Takes precedence over
-            [domains]. *)
   }
 
   val default : t
@@ -175,16 +153,6 @@ type blocked_thread = {
 }
 (** One node of the deadlock watchdog's wait graph. *)
 
-type domain_stat = {
-  ds_dom : int;  (** domain index *)
-  ds_steps : int;  (** scheduler steps this domain executed *)
-  ds_steals : int;  (** threads it stole from other domains' deques *)
-  ds_posts : int;  (** cross-domain mailbox entries it drained *)
-  ds_records : int;  (** replay-log records it contributed *)
-}
-(** Per-domain accounting for a live multi-domain run ([Config.domains >
-    1]); empty otherwise. *)
-
 type 'a result = {
   outcome : 'a outcome;
   output : string;  (** everything written with [put_char]/[put_string] *)
@@ -204,16 +172,6 @@ type 'a result = {
   injections : int;
       (** asynchronous exceptions posted by {!Config.t.inject} that found
           a live target *)
-  domain_stats : domain_stat list;
-      (** per-domain counters of a live multi-domain run, ascending
-          domain index; [[]] on single-domain runs and replays *)
-  replay_log : Step_journal.Replay.t option;
-      (** the interleaving record of a live multi-domain run (feed it to
-          {!Config.t.replay}); on a replay, the log that was replayed *)
-  replay_diverged : bool;
-      (** a replay left its log (program changed, or a fault hook
-          perturbed the run) and continued under the free single-domain
-          scheduler *)
 }
 
 val pp_thread_stat : Format.formatter -> thread_stat -> unit

@@ -48,75 +48,5 @@ val clear : t -> unit
 
 val entries : t -> (int * int) list
 (** The retained window as [(step, tid)] pairs in ascending step order —
-    for comparing two journals (e.g. a recorded multi-domain run against
-    its single-domain replay). *)
-
-(** The multi-domain replay log.
-
-    A multi-domain run is nondeterministic at exactly the points where
-    domains touch shared scheduler state: sequenced operations (MVar
-    traffic, fork, throwTo, timers, I/O), cross-domain mailbox drains,
-    steals, and virtual-clock advances. Each such decision is recorded
-    with a global sequence number taken under the shared-state lock;
-    purely thread-local step segments (bind/catch/mask bookkeeping, pure
-    unwinding) are recorded without one, ordered only per thread. Merging
-    the per-domain buffers yields a serial schedule that
-    [Runtime.Config.replay] re-executes on one domain, reproducing the
-    run — outcome, output, thread ids, per-thread statistics, and the
-    step journal — byte for byte. *)
-module Replay : sig
-  type kind =
-    | K_op  (** a segment ending in one sequenced (shared-state) step *)
-    | K_deliver
-        (** a segment ending in a pending asynchronous-exception
-            delivery (the delivery replaces the boundary step) *)
-    | K_end
-        (** a purely local segment ending in [yield], quantum expiry, or
-            run stop — unsequenced, ordered per thread by [r_tseq] *)
-    | K_post
-        (** one cross-domain mailbox entry drained into a thread's
-            pending queue; [r_dom] is the draining domain, [r_tseq]
-            holds the mailbox (target domain) index *)
-    | K_steal  (** a thread moved to domain [r_dom]'s deque *)
-    | K_clock  (** the virtual clock advanced while quiescent *)
-
-  type record = {
-    r_kind : kind;
-    r_dom : int;  (** domain the decision executed on *)
-    r_tid : int;  (** thread the record is about (0 for [K_clock]) *)
-    r_tseq : int;
-        (** per-thread record counter for [K_op]/[K_deliver]/[K_end];
-            mailbox index for [K_post] *)
-    r_steps : int;  (** scheduler steps this segment executed *)
-    r_seq : int;  (** global order; 0 for unsequenced [K_end] records *)
-  }
-
-  type buf
-  (** A per-domain append-only record buffer (no internal locking: each
-      domain writes only its own). *)
-
-  val buf_create : unit -> buf
-  val buf_add : buf -> record -> unit
-
-  type t = { domains : int; records : record array }
-  (** A merged log: [records] in canonical replay order. *)
-
-  val merge : domains:int -> buf array -> t
-  (** Serialize per-domain buffers: sequenced records by [r_seq], each
-      thread's local segments spliced immediately before that thread's
-      next sequenced record (local steps commute with other threads'
-      steps, so this is a sound serialisation), trailing local segments
-      last in (tid, tseq) order. *)
-
-  val total_steps : t -> int
-  val count : kind -> t -> int
-
-  val encode : Buffer.t -> t -> unit
-  (** A line-oriented text encoding (["hio-replay 1"] header), for
-      [chrun run --record] / [chrun replay]. *)
-
-  val to_string : t -> string
-
-  val decode : string -> t
-  (** @raise Failure on a malformed log. *)
-end
+    for comparing two journals (e.g. two runs of one program under one
+    config). *)

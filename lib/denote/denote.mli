@@ -59,6 +59,5 @@ val run_result :
   ?config:Hio.Runtime.Config.t -> ?readback_budget:int -> Term.term ->
   Term.term Hio.Runtime.result
 (** Like {!run}, but expose the full runtime result: the readback term as
-    the outcome plus the scheduler accounting, per-domain statistics and
-    the captured replay log — the raw material for [chrun run --domains
-    --record] and [chrun replay]. *)
+    the outcome plus the scheduler accounting and per-thread statistics —
+    what [chrun run --hio] prints. *)

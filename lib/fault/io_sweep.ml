@@ -36,9 +36,9 @@ let kill_case c =
             ctl))
        c.ic_body)
 
-let record ?domains c =
+let record c =
   Domain.DLS.get plan_key := [];
-  let schedule = Sweep.record ?domains (kill_case c) in
+  let schedule = Sweep.record (kill_case c) in
   let sites =
     match !(Domain.DLS.get ctl_key) with
     | Some ctl -> Ev.Chaos.site_counts ctl
@@ -90,12 +90,8 @@ let shrink_rule c schedule rule =
   { rule with Ev.Chaos.r_at = go rule.Ev.Chaos.r_at }
 
 let sweep ?max_sites_per_op ?(kills_per_point = 0) ?(shrink = true)
-    ?(jobs = 1) ?domains c =
-  (* [domains] shapes only the initial baseline (live multi-domain run +
-     replay-log capture); combined-mode re-recordings of chaos-faulted
-     schedules stay live single-domain — a fault changes behavior, so
-     the multi-domain log cannot be followed through it. *)
-  let schedule, sites = record ?domains c in
+    ?(jobs = 1) c =
+  let schedule, sites = record c in
   let points =
     List.concat_map
       (fun (op, n) ->

@@ -58,13 +58,8 @@ type report = {
   ir_failures : io_failure list;
 }
 
-val record :
-  ?domains:int -> case -> Sweep.schedule * (Ev.Chaos.op * int) list
+val record : case -> Sweep.schedule * (Ev.Chaos.op * int) list
 (** One clean-plan run: the schedule plus the armed site counts.
-    [domains > 1] records the baseline live on that many scheduler
-    domains and derives the schedule from its replay log (see
-    {!Sweep.record}); the site counts come from the single-domain
-    replay, where the per-run ctl lives on the driver domain.
     @raise Failure if the baseline does not end in [Value ()] with no
     blocked threads. *)
 
@@ -83,7 +78,6 @@ val sweep :
   ?kills_per_point:int ->
   ?shrink:bool ->
   ?jobs:int ->
-  ?domains:int ->
   case ->
   report
 (** Enumerate every (op, site, fault) point — sites down-sampled evenly
@@ -92,11 +86,6 @@ val sweep :
     [kills_per_point] (default [0]) additionally re-records each clean
     point's faulted schedule and layers a kill at that many of its armed
     steps, evenly sampled. [jobs] farms points to worker domains; the
-    report is identical for every value. [domains] (default 1) records
-    the baseline on that many scheduler domains; faulted runs replay
-    its log until the injected fault diverges the schedule, then
-    continue deterministically under the free single-domain scheduler.
-    Combined-mode re-recordings of faulted schedules stay single-domain
-    regardless. *)
+    report is identical for every value. *)
 
 val pp_report : Format.formatter -> report -> unit

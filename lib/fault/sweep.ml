@@ -32,7 +32,6 @@ type schedule = {
   s_steps : int;
   s_armed : (int * int) array;
   s_names : (int * string) list;
-  s_log : Step_journal.Replay.t option;
 }
 
 let check_baseline c (r : unit Runtime.result) =
@@ -46,28 +45,7 @@ let check_baseline c (r : unit Runtime.result) =
         (Runtime.pp_outcome (fun ppf () -> Fmt.string ppf "()"))
         o
 
-let record ?(domains = 1) c =
-  (* A multi-domain baseline: run live first to capture the interleaving
-     log, then derive the armed schedule by replaying it (the replay is
-     single-domain, so the tracer, the observer hook and the DLS armed
-     flag all work exactly as in the seed path). Every faulted run then
-     replays the same log — the sweep explores kill points over a real
-     parallel schedule, deterministically. *)
-  let log =
-    if domains <= 1 then None
-    else begin
-      let config =
-        {
-          Runtime.Config.default with
-          Runtime.Config.max_steps = c.c_max_steps;
-          domains;
-        }
-      in
-      let r = Runtime.run ~config c.c_io in
-      check_baseline c r;
-      r.Runtime.replay_log
-    end
-  in
+let record c =
   let armed = armed () in
   armed := true;
   let acts = ref [] and names = ref [] in
@@ -86,19 +64,14 @@ let record ?(domains = 1) c =
       Runtime.Config.max_steps = c.c_max_steps;
       tracer = Some tracer;
       inject = Some observe;
-      replay = log;
     }
   in
   let r = Runtime.run ~config c.c_io in
   check_baseline c r;
-  if r.Runtime.replay_diverged then
-    Fmt.failwith "fault: case %s: baseline replay diverged from its log"
-      c.c_name;
   {
     s_steps = r.Runtime.steps;
     s_armed = Array.of_list (List.rev !acts);
     s_names = List.rev !names;
-    s_log = log;
   }
 
 let resolve schedule target ~acting =
@@ -147,7 +120,6 @@ let run_plan c schedule (plan : Plan.t) =
       Runtime.Config.default with
       Runtime.Config.max_steps = c.c_max_steps;
       inject = Some hook;
-      replay = schedule.s_log;
     }
   in
   let r = Runtime.run ~config c.c_io in
@@ -180,9 +152,8 @@ let sample n l =
     List.init n (fun i ->
         arr.(if n = 1 then 0 else i * (len - 1) / (n - 1)))
 
-let sweep ?max_points ?(target = Plan.Acting) ?(shrink = true) ?(jobs = 1)
-    ?(domains = 1) c =
-  let schedule = record ~domains c in
+let sweep ?max_points ?(target = Plan.Acting) ?(shrink = true) ?(jobs = 1) c =
+  let schedule = record c in
   let points =
     let all = Array.to_list schedule.s_armed in
     match max_points with None -> all | Some n -> sample n all

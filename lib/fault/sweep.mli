@@ -45,20 +45,10 @@ type schedule = {
   s_steps : int;  (** baseline scheduler steps to completion *)
   s_armed : (int * int) array;  (** (step index, acting tid), armed only *)
   s_names : (int * string) list;  (** forked thread names, in fork order *)
-  s_log : Hio.Step_journal.Replay.t option;
-      (** the interleaving log of the multi-domain baseline, when the
-          sweep was recorded with [domains > 1]: every faulted run
-          replays it, so the kill points probe a schedule with real
-          cross-domain interleavings — deterministically *)
 }
 
-val record : ?domains:int -> case -> schedule
-(** Run the case once with the injection hook as a pure observer. With
-    [domains > 1] the baseline first runs live on that many domains to
-    capture its replay log, then the schedule (armed steps, names) is
-    derived by replaying the log on one domain — observer hooks are not
-    supported on live multi-domain runs, and the replay is where the
-    faulted runs will live anyway.
+val record : case -> schedule
+(** Run the case once with the injection hook as a pure observer.
     @raise Failure if the baseline does not end in [Value ()] with no
     blocked threads — a case must be correct before it is swept. *)
 
@@ -92,18 +82,10 @@ val sweep :
   ?target:Plan.target ->
   ?shrink:bool ->
   ?jobs:int ->
-  ?domains:int ->
   case ->
   report
 (** Sweep every armed step (down-sampled evenly to [max_points] if
     given), injecting into [target] (default {!Plan.Acting}).
-
-    [domains] (default 1) records the baseline on that many scheduler
-    domains and sweeps over the captured replay log (see {!record}):
-    same verdicts, same determinism, but the kill points land in a
-    schedule with genuine cross-domain interleavings. The faulted run
-    replays the log up to the injection, then continues under the free
-    single-domain scheduler from the perturbed state.
 
     [jobs] (default 1) farms the faulted re-runs to that many worker
     domains via {!Par}. The report is deterministic and identical for

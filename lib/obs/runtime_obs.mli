@@ -25,9 +25,4 @@ val observe_result :
     and [hio_blocked_at_exit] gauges, plus per-thread
     [hio_thread_steps_total{thread=tN}] and
     [hio_thread_delivered_total{thread=tN}] counters (the latter only for
-    threads that received an exception). A multi-domain run additionally
-    records per-domain [hio_domain_steps_total{domain=dN}],
-    [hio_domain_steals_total], [hio_domain_mailbox_posts_total] and
-    [hio_domain_replay_records_total] counters from
-    [result.domain_stats], and [hio_replay_divergences_total] counts
-    replays that left their log. *)
+    threads that received an exception). *)

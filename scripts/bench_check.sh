@@ -13,7 +13,6 @@
 #   TABLE.md where to append the markdown table, default bench_table.md
 #
 # e.g.  scripts/bench_check.sh -o table.md BENCH_scheduler.json sc
-#       scripts/bench_check.sh -o table.md BENCH_domains.json dom
 #       scripts/bench_check.sh -o table.md BENCH_overload.json ovl
 #
 # The baselines were recorded on a single-core container; CI runners are

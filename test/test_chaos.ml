@@ -283,20 +283,6 @@ let sweep_tests =
         Alcotest.(check bool) "replay fails" true
           (fst (Io_sweep.run_rule fragile schedule f.Io_sweep.if_shrunk [])
           <> None));
-    case "io-pipe sweeps clean over a 2-domain replay log" (fun () ->
-        (* the baseline runs live on two domains; every faulted run
-           replays its captured log until the chaos fault diverges it,
-           then continues under the free single-domain scheduler *)
-        let r =
-          Io_sweep.sweep ~max_sites_per_op:2 ~domains:2 Io_cases.io_pipe
-        in
-        Alcotest.(check bool) "has fault points" true
-          (r.Io_sweep.ir_points > 0);
-        match r.Io_sweep.ir_failures with
-        | [] -> ()
-        | f :: _ ->
-            Alcotest.failf "unexpected failure: %a then %s" Ev.Chaos.pp_rule
-              f.Io_sweep.if_rule f.Io_sweep.if_reason);
     case "sweep reports are identical across job counts" (fun () ->
         let strip (r : Io_sweep.report) =
           ( r.Io_sweep.ir_points,

@@ -94,42 +94,6 @@ let runq_unit_tests =
         Alcotest.check int_list "rest"
           [ 12; 13; 14; 16; 17; 18; 19; 20; 21; 22; 23 ]
           (Runq.to_list q));
-    case "pop_back takes the newest element" (fun () ->
-        let q = Runq.create () in
-        for x = 0 to 9 do
-          Runq.push q x
-        done;
-        Alcotest.check int_v "back" 9 (Runq.pop_back q);
-        Alcotest.check int_v "back" 8 (Runq.pop_back q);
-        Alcotest.check int_v "front" 0 (Runq.pop q);
-        Alcotest.check int_list "rest" [ 1; 2; 3; 4; 5; 6; 7 ]
-          (Runq.to_list q));
-    case "pop_back works after the head has wrapped" (fun () ->
-        let q = Runq.create () in
-        for x = 0 to 15 do
-          Runq.push q x
-        done;
-        for _ = 0 to 11 do
-          ignore (Runq.pop q)
-        done;
-        for x = 16 to 23 do
-          Runq.push q x
-        done;
-        (* queue is [12..23], tail wrapped past the buffer end *)
-        let back = List.init 4 (fun _ -> Runq.pop_back q) in
-        Alcotest.check int_list "newest first" [ 23; 22; 21; 20 ] back;
-        Alcotest.check int_list "rest" [ 12; 13; 14; 15; 16; 17; 18; 19 ]
-          (Runq.to_list q));
-    case "pop_back on empty raises" (fun () ->
-        let q = Runq.create () in
-        (match Runq.pop_back q with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "expected Invalid_argument");
-        Runq.push q 1;
-        Alcotest.check int_v "one" 1 (Runq.pop_back q);
-        match Runq.pop_back q with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "expected Invalid_argument");
   ]
 
 (* Model-based property: an arbitrary sequence of push/pop/remove agrees
