@@ -517,8 +517,8 @@ let sv =
 let sweep_std_total jobs =
   List.fold_left
     (fun acc case ->
-      let r = Fault.Sweep.sweep ~jobs case in
-      acc + r.Fault.Sweep.r_faulted_steps)
+      let r = Fault.Sweep.kills ~jobs case in
+      acc + r.Fault.Sweep.faulted_steps)
     0 Fault.Cases.std
 
 let explore_lock jobs =
@@ -591,15 +591,15 @@ let sup_server_load ~supervised =
 let sup_case ~supervised =
   Fault.Sweep.case
     (if supervised then "bench-sup-server" else "bench-bare-server")
-    (Io.( >>= ) (sup_server_load ~supervised) (fun _ -> Io.return ()))
+    (fun _ -> Io.( >>= ) (sup_server_load ~supervised) (fun _ -> Io.return ()))
 
 let sup_kill_sweep ~supervised =
   let r =
-    Fault.Sweep.sweep ~max_points:48 ~shrink:false
+    Fault.Sweep.kills ~max_points:48 ~shrink:false
       ~target:(Fault.Plan.Named "conn-worker")
       (sup_case ~supervised)
   in
-  r.Fault.Sweep.r_faulted_steps
+  r.Fault.Sweep.faulted_steps
 
 let sup_group =
   [
@@ -692,11 +692,7 @@ let act =
    not I/O. *)
 
 let ovl_ramp case mult =
-  match
-    Fault.Load_sweep.record case ~mult ~resources:Ev.Chaos.no_resources
-  with
-  | _, Some t -> t.Fault.Load_sweep.lt_ok
-  | _, None -> failwith "overload ramp recorded no tally"
+  (Fault.Sweep.record case { Fault.Sweep.clean with mult }).value.Fault.Sweep.lt_ok
 
 let ovl =
   [

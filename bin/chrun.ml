@@ -418,23 +418,54 @@ let equiv_cmd =
 
 (* --- chrun sweep ------------------------------------------------------------- *)
 
-(* The suite names, in the order the suites run and the JSON lists
-   them. Parsed by hand (not Arg.enum) so an unknown suite can exit 2
-   with the full list — cmdliner's enum error exits 124 and its
-   message drifts from the actual suite set. *)
-let suite_names =
-  [ "corpus"; "std"; "server"; "sup"; "chaos"; "actor"; "overload"; "all" ]
+(* The hio suites, in the order they run and the JSON lists them, after
+   the corpus (the Fig 4/5 semantics, swept by [Ch_sweep]). Each suite
+   is a list of fault-engine sweeps, run one at a time so a long suite
+   prints each line as soon as it is done. *)
+type sweep_opts = {
+  max_points : int option;
+  max_sites : int;
+  kills_per_point : int;
+  jobs : int;
+}
 
-let suite_of_string = function
-  | "corpus" -> Some `Corpus
-  | "std" -> Some `Std
-  | "server" -> Some `Server
-  | "sup" -> Some `Sup
-  | "chaos" -> Some `Chaos
-  | "actor" -> Some `Actor
-  | "overload" -> Some `Overload
-  | "all" -> Some `All
-  | _ -> None
+let hio_suites =
+  let kills cases o =
+    List.map
+      (fun (c, target) () ->
+        Fault.Sweep.kills ?max_points:o.max_points ~jobs:o.jobs ~target c)
+      cases
+  in
+  [
+    ("std", kills (List.map (fun c -> (c, Fault.Plan.Acting)) Fault.Cases.std));
+    ( "server",
+      kills
+        (List.map
+           (fun t -> (Fault.Cases.server, t))
+           Fault.Cases.server_targets) );
+    ("sup", kills Fault.Cases.sup_sweeps);
+    ("actor", kills Fault.Cases.actor_sweeps);
+    ( "chaos",
+      fun o ->
+        List.map
+          (fun c () ->
+            Fault.Sweep.io ~max_sites_per_op:o.max_sites
+              ~kills_per_point:o.kills_per_point ~jobs:o.jobs c)
+          Fault.Io_cases.chaos );
+    ( "overload",
+      fun o ->
+        List.map
+          (fun c () ->
+            Fault.Sweep.load ~qdelay_bound:Fault.Load_cases.qdelay_bound
+              ~kills_per_ramp:o.kills_per_point
+              ~resources:Fault.Load_cases.overload_resources ~jobs:o.jobs c)
+          Fault.Load_cases.overload );
+  ]
+
+(* Parsed by hand (not Arg.enum) so an unknown suite can exit 2 with the
+   full list — cmdliner's enum error exits 124 and its message drifts
+   from the actual suite set. *)
+let suite_names = ("corpus" :: List.map fst hio_suites) @ [ "all" ]
 
 let suite_arg =
   Arg.(
@@ -528,7 +559,7 @@ let strip_jobs argv =
   let rec go = function
     | [] -> []
     | ("--jobs" | "-j" | "--json") :: _ :: rest -> go rest
-    | a :: rest when prefixed "--jobs=" a || prefixed "-j=" a -> go rest
+    | a :: rest when prefixed "--jobs=" a || prefixed "-j" a -> go rest
     | a :: rest when prefixed "--json=" a -> go rest
     | a :: rest -> a :: go rest
   in
@@ -536,12 +567,68 @@ let strip_jobs argv =
 
 (* JSON by hand (no JSON library in the tree): every string we emit is a
    known identifier, so escaping is not needed. *)
-let sweep_json path ~argv ~corpus ~std ~server ~sup ~actor ~chaos
-    ~overload ~failures =
+let obj fields =
+  if fields = [] then "{}"
+  else
+    "{ "
+    ^ String.concat ", "
+        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) fields)
+    ^ " }"
+
+let ints l = obj (List.map (fun (k, n) -> (k, string_of_int n)) l)
+let quoted s = "\"" ^ s ^ "\""
+
+let hio_row (r : Fault.Sweep.report) =
+  let ramp (p : Fault.Sweep.ramp) =
+    let t = p.tally in
+    ints
+      [
+        ("mult", p.ramp_mult); ("offered", t.lt_offered); ("ok", t.lt_ok);
+        ("shed", t.lt_shed); ("late", t.lt_late);
+        ("transport", t.lt_transport); ("max_queue_delay", t.lt_max_qdelay);
+        ("steps", p.ramp_steps);
+      ]
+  in
+  obj
+    [
+      ("case", quoted r.case);
+      ( "kind",
+        quoted (match r.kind with Kills -> "kill" | Io -> "io" | Load -> "load")
+      );
+      ( "target",
+        quoted
+          (match r.target with
+          | Fault.Plan.Acting -> "acting"
+          | Tid t -> Printf.sprintf "t%d" t
+          | Named n -> n) );
+      ("baseline_steps", string_of_int r.baseline_steps);
+      ( "sites",
+        ints (List.map (fun (op, n) -> (Ev.Chaos.op_label op, n)) r.sites) );
+      ("points", string_of_int r.points);
+      ("applied", string_of_int r.applied);
+      ("kill_runs", string_of_int r.kill_runs);
+      ("faulted_steps", string_of_int r.faulted_steps);
+      ("fault_kinds", ints r.fault_kinds);
+      ( "ramps",
+        if r.ramps = [] then "[]"
+        else "[ " ^ String.concat ", " (List.map ramp r.ramps) ^ " ]" );
+      ("capacity", string_of_int r.capacity);
+      ("failures", string_of_int (List.length r.failures));
+    ]
+
+let sweep_json path ~argv ~corpus ~hio ~failures =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let rows name l =
+    add "  \"%s\": [\n" name;
+    List.iteri
+      (fun i row ->
+        add "    %s%s\n" row (if i = List.length l - 1 then "" else ","))
+      l;
+    add "  ],\n"
+  in
   add "{\n";
-  add "  \"schema_version\": 8,\n";
+  add "  \"schema_version\": 9,\n";
   add "  \"description\": \"Fault sweep record: every armed scheduler \
        step of each case re-executed with KillThread injected into the \
        acting (or targeted) thread, invariants checked after each faulted \
@@ -562,122 +649,41 @@ let sweep_json path ~argv ~corpus ~std ~server ~sup ~actor ~chaos
        chaos and kills, gating goodput (>= half of capacity at 10x) and \
        the CoDel queue-delay bound; schema 8 removed the domains field \
        with the multi-domain scheduler — every hio case runs on the one \
-       scheduler, so every report is deterministic across invocations).\",\n";
+       scheduler, so every report is deterministic across invocations; \
+       schema 9 gave every hio row one shape, the fault engine's report \
+       — kind (kill, io or load), target, baseline_steps, sites, points \
+       (kill points, fault points or resource ramps; a kill row's \
+       kill_points), applied, kill_runs, faulted_steps, fault_kinds, \
+       ramps, capacity, failures).\",\n";
   add "  \"command\": \"%s\",\n" (String.concat " " (strip_jobs argv));
-  add "  \"corpus\": [\n";
-  List.iteri
-    (fun i (r : Fault.Ch_sweep.report) ->
-      add
-        "    { \"case\": \"%s\", \"kill_points\": %d, \"baseline_steps\": \
-         %d, \"faulted_steps\": %d, \"completed\": %d, \"killed\": %d, \
-         \"wedged\": %d, \"broken\": %d, \"livelocked\": %d }%s\n"
-        r.Fault.Ch_sweep.rc_name r.rc_kill_points r.rc_baseline_steps
-        r.rc_faulted_steps r.rc_completed r.rc_killed r.rc_wedged r.rc_broken
-        r.rc_livelocked
-        (if i = List.length corpus - 1 then "" else ","))
-    corpus;
-  add "  ],\n";
-  let target_name = function
-    | Fault.Plan.Acting -> "acting"
-    | Fault.Plan.Tid t -> Printf.sprintf "t%d" t
-    | Fault.Plan.Named n -> n
-  in
-  let kinds_json kinds =
-    String.concat ", "
-      (List.map (fun (k, n) -> Printf.sprintf "\"%s\": %d" k n) kinds)
-  in
-  let hio_rows name rows =
-    add "  \"%s\": [\n" name;
-    List.iteri
-      (fun i (r : Fault.Sweep.report) ->
-        add
-          "    { \"case\": \"%s\", \"target\": \"%s\", \"kill_points\": %d, \
-           \"applied\": %d, \"baseline_steps\": %d, \"faulted_steps\": %d, \
-           \"fault_kinds\": { %s }, \"failures\": %d }%s\n"
-          r.Fault.Sweep.r_case
-          (target_name r.r_target)
-          r.r_kill_points r.r_applied r.r_baseline_steps r.r_faulted_steps
-          (kinds_json [ ("kill", r.r_kill_points) ])
-          (List.length r.r_failures)
-          (if i = List.length rows - 1 then "" else ","))
-      rows;
-    add "  ],\n"
-  in
-  hio_rows "std" std;
-  hio_rows "server" server;
-  hio_rows "sup" sup;
-  hio_rows "actor" actor;
-  add "  \"chaos\": [\n";
-  List.iteri
-    (fun i (r : Fault.Io_sweep.report) ->
-      let sites =
-        String.concat ", "
-          (List.map
-             (fun (op, n) ->
-               Printf.sprintf "\"%s\": %d" (Ev.Chaos.op_label op) n)
-             r.Fault.Io_sweep.ir_sites)
-      in
-      add
-        "    { \"case\": \"%s\", \"sites\": { %s }, \"fault_points\": %d, \
-         \"kill_runs\": %d, \"baseline_steps\": %d, \"faulted_steps\": %d, \
-         \"fault_kinds\": { %s }, \"failures\": %d }%s\n"
-        r.Fault.Io_sweep.ir_case sites r.ir_points r.ir_kill_runs
-        r.ir_baseline_steps r.ir_faulted_steps
-        (kinds_json r.ir_by_kind)
-        (List.length r.ir_failures)
-        (if i = List.length chaos - 1 then "" else ","))
-    chaos;
-  add "  ],\n";
-  add "  \"overload\": [\n";
-  List.iteri
-    (fun i (r : Fault.Load_sweep.report) ->
-      let points =
-        String.concat ", "
-          (List.map
-             (fun (p : Fault.Load_sweep.point) ->
-               Printf.sprintf
-                 "{ \"mult\": %d, \"offered\": %d, \"ok\": %d, \
-                  \"shed\": %d, \"late\": %d, \"transport\": %d, \
-                  \"max_queue_delay\": %d, \"steps\": %d }"
-                 p.Fault.Load_sweep.lp_mult p.lp_tally.lt_offered
-                 p.lp_tally.lt_ok p.lp_tally.lt_shed p.lp_tally.lt_late
-                 p.lp_tally.lt_transport p.lp_tally.lt_max_qdelay p.lp_steps)
-             r.Fault.Load_sweep.lr_points)
-      in
-      add
-        "    { \"case\": \"%s\", \"capacity\": %d, \"ramps\": [ %s ], \
-         \"kill_runs\": %d, \"resource_ramps\": %d, \"faulted_steps\": \
-         %d, \"failures\": %d }%s\n"
-        r.Fault.Load_sweep.lr_case r.lr_capacity points r.lr_kill_runs
-        r.lr_resource_ramps r.lr_faulted_steps
-        (List.length r.lr_failures)
-        (if i = List.length overload - 1 then "" else ","))
-    overload;
-  add "  ],\n";
-  let kp =
-    List.fold_left (fun a (r : Fault.Ch_sweep.report) -> a + r.rc_kill_points)
-      0 corpus
-    + List.fold_left
-        (fun a (r : Fault.Sweep.report) -> a + r.r_kill_points)
-        0
-        (std @ server @ sup @ actor)
-  in
-  let fp =
+  rows "corpus"
+    (List.map
+       (fun (r : Fault.Ch_sweep.report) ->
+         Printf.sprintf
+           "{ \"case\": \"%s\", \"kill_points\": %d, \"baseline_steps\": \
+            %d, \"faulted_steps\": %d, \"completed\": %d, \"killed\": %d, \
+            \"wedged\": %d, \"broken\": %d, \"livelocked\": %d }"
+           r.rc_name r.rc_kill_points r.rc_baseline_steps r.rc_faulted_steps
+           r.rc_completed r.rc_killed r.rc_wedged r.rc_broken r.rc_livelocked)
+       corpus);
+  List.iter (fun (name, reports) -> rows name (List.map hio_row reports)) hio;
+  let total kind count =
     List.fold_left
-      (fun a (r : Fault.Io_sweep.report) ->
-        a + r.ir_points + r.ir_kill_runs)
-      0 chaos
-  in
-  let lr =
-    List.fold_left
-      (fun a (r : Fault.Load_sweep.report) ->
-        a + List.length r.lr_points + r.lr_kill_runs + r.lr_resource_ramps)
-      0 overload
+      (fun a (r : Fault.Sweep.report) ->
+        if r.kind = kind then a + count r else a)
+      0
+      (List.concat_map snd hio)
   in
   add
     "  \"totals\": { \"kill_points\": %d, \"fault_points\": %d, \
      \"load_runs\": %d, \"failures\": %d }\n"
-    kp fp lr failures;
+    (List.fold_left
+       (fun a (r : Fault.Ch_sweep.report) -> a + r.rc_kill_points)
+       0 corpus
+    + total Kills (fun r -> r.points))
+    (total Io (fun r -> r.points + r.kill_runs))
+    (total Load (fun r -> List.length r.ramps + r.points + r.kill_runs))
+    failures;
   add "}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
@@ -686,113 +692,62 @@ let sweep_json path ~argv ~corpus ~std ~server ~sup ~actor ~chaos
 let sweep_cmd =
   let run suite max_points max_sites kills_per_point jobs json strict =
     handle_syntax (fun () ->
-        let suite =
-          match suite_of_string suite with
-          | Some s -> s
-          | None ->
-              Fmt.epr "chrun sweep: unknown suite %S (expected one of: %s)@."
-                suite
-                (String.concat ", " suite_names);
-              exit 2
+        let usage fmt =
+          Fmt.kstr
+            (fun msg ->
+              Fmt.epr "chrun sweep: %s@." msg;
+              exit 2)
+            fmt
         in
-        let jobs = resolve_jobs jobs in
+        if not (List.mem suite suite_names) then
+          usage "unknown suite %S (expected one of: %s)" suite
+            (String.concat ", " suite_names);
+        let at_least flag lo n =
+          if n < lo then usage "%s must be at least %d (got %d)" flag lo n
+        in
+        Option.iter (at_least "--max-points" 1) max_points;
+        at_least "--max-sites" 1 max_sites;
+        at_least "--kills-per-point" 0 kills_per_point;
+        let opts =
+          { max_points; max_sites; kills_per_point; jobs = resolve_jobs jobs }
+        in
+        let wanted name = suite = name || suite = "all" in
         let failures = ref 0 in
         let corpus =
-          if suite <> `Corpus && suite <> `All then []
+          if not (wanted "corpus") then []
           else
             List.map
               (fun (name, init) ->
-                let r = Fault.Ch_sweep.sweep ?max_points ~jobs name init in
+                let r =
+                  Fault.Ch_sweep.sweep ?max_points ~jobs:opts.jobs name init
+                in
                 Fmt.pr "%a@." Fault.Ch_sweep.pp_report r;
                 if strict && not (Fault.Ch_sweep.quiescent r) then
                   incr failures;
                 r)
               Fault.Ch_sweep.corpus
         in
-        let std =
-          if suite <> `Std && suite <> `All then []
-          else
-            List.map
-              (fun c ->
-                let r = Fault.Sweep.sweep ?max_points ~jobs c in
-                Fmt.pr "%a@." Fault.Sweep.pp_report r;
-                failures := !failures + List.length r.Fault.Sweep.r_failures;
-                r)
-              Fault.Cases.std
+        let hio =
+          List.map
+            (fun (name, sweeps) ->
+              ( name,
+                if not (wanted name) then []
+                else
+                  List.map
+                    (fun sweep ->
+                      let r = sweep () in
+                      Fmt.pr "%a@." Fault.Sweep.pp_report r;
+                      failures :=
+                        !failures + List.length r.Fault.Sweep.failures;
+                      r)
+                    (sweeps opts) ))
+            hio_suites
         in
-        let server =
-          if suite <> `Server && suite <> `All then []
-          else
-            List.map
-              (fun target ->
-                let r =
-                  Fault.Sweep.sweep ?max_points ~jobs ~target
-                    Fault.Cases.server
-                in
-                Fmt.pr "%a@." Fault.Sweep.pp_report r;
-                failures := !failures + List.length r.Fault.Sweep.r_failures;
-                r)
-              Fault.Cases.server_targets
-        in
-        let sup =
-          if suite <> `Sup && suite <> `All then []
-          else
-            List.map
-              (fun (case, target) ->
-                let r = Fault.Sweep.sweep ?max_points ~jobs ~target case in
-                Fmt.pr "%a@." Fault.Sweep.pp_report r;
-                failures := !failures + List.length r.Fault.Sweep.r_failures;
-                r)
-              Fault.Cases.sup_sweeps
-        in
-        let actor =
-          if suite <> `Actor && suite <> `All then []
-          else
-            List.map
-              (fun (case, target) ->
-                let r = Fault.Sweep.sweep ?max_points ~jobs ~target case in
-                Fmt.pr "%a@." Fault.Sweep.pp_report r;
-                failures := !failures + List.length r.Fault.Sweep.r_failures;
-                r)
-              Fault.Cases.actor_sweeps
-        in
-        let chaos =
-          if suite <> `Chaos && suite <> `All then []
-          else
-            List.map
-              (fun c ->
-                let r =
-                  Fault.Io_sweep.sweep ~max_sites_per_op:max_sites
-                    ~kills_per_point ~jobs c
-                in
-                Fmt.pr "%a@." Fault.Io_sweep.pp_report r;
-                failures :=
-                  !failures + List.length r.Fault.Io_sweep.ir_failures;
-                r)
-              Fault.Io_cases.chaos
-        in
-        let overload =
-          if suite <> `Overload && suite <> `All then []
-          else
-            List.map
-              (fun c ->
-                let r =
-                  Fault.Load_sweep.sweep ~kills_per_ramp:kills_per_point
-                    ~resources:Fault.Load_cases.overload_resources ~jobs c
-                in
-                Fmt.pr "%a@." Fault.Load_sweep.pp_report r;
-                failures :=
-                  !failures + List.length r.Fault.Load_sweep.lr_failures;
-                r)
-              Fault.Load_cases.overload
-        in
-        (match json with
-        | Some path ->
-            sweep_json path
-              ~argv:(Array.to_list Sys.argv)
-              ~corpus ~std ~server ~sup ~actor ~chaos ~overload
-              ~failures:!failures
-        | None -> ());
+        Option.iter
+          (fun path ->
+            sweep_json path ~argv:(Array.to_list Sys.argv) ~corpus ~hio
+              ~failures:!failures)
+          json;
         if !failures > 0 then begin
           Fmt.pr "%d FAILING sweep%s@." !failures
             (if !failures = 1 then "" else "s");

@@ -340,12 +340,12 @@ let c17 () =
     "faulted steps" "jobs∈{2,4} ≡ jobs=1";
   List.iter
     (fun case ->
-      let seq = Fault.Sweep.sweep ~jobs:1 case in
+      let seq = Fault.Sweep.kills ~jobs:1 case in
       let same =
-        List.for_all (fun j -> Fault.Sweep.sweep ~jobs:j case = seq) jobs_list
+        List.for_all (fun j -> Fault.Sweep.kills ~jobs:j case = seq) jobs_list
       in
-      Printf.printf "%-20s %12d %14d  %b\n" (Fault.Sweep.case_name case)
-        seq.Fault.Sweep.r_kill_points seq.Fault.Sweep.r_faulted_steps same)
+      Printf.printf "%-20s %12d %14d  %b\n" case.Fault.Sweep.name
+        seq.Fault.Sweep.points seq.Fault.Sweep.faulted_steps same)
     Fault.Cases.std;
   let seq =
     Space.explore ~config:quiet
@@ -429,10 +429,10 @@ let c18 () =
     let case =
       Fault.Sweep.case
         (if supervised then "c18-supervised" else "c18-bare")
-        (scenario ~supervised)
+        (fun _ -> scenario ~supervised)
     in
-    let sched = Fault.Sweep.record case in
-    let armed = sched.Fault.Sweep.s_armed in
+    let sched = Fault.Sweep.record case Fault.Sweep.clean in
+    let armed = sched.Fault.Sweep.armed in
     (* one representative kill, 60% into this mode's own armed window —
        late enough that a worker is mid-request *)
     let at_step, _ = armed.(Array.length armed * 3 / 5) in
@@ -445,13 +445,15 @@ let c18 () =
         };
       ]
     in
-    let verdict, _ = Fault.Sweep.run_plan case sched plan in
+    let verdict, _ =
+      Fault.Sweep.run case sched { Fault.Sweep.clean with kill = plan }
+    in
     let outs =
       List.sort compare !outcomes |> List.map snd |> String.concat " "
     in
     let s = Option.get !stats in
     let report =
-      Fault.Sweep.sweep ~max_points:200 ~shrink:false
+      Fault.Sweep.kills ~max_points:200 ~shrink:false
         ~target:(Fault.Plan.Named "conn-worker") case
     in
     (outs, s, verdict, report)
@@ -465,8 +467,8 @@ let c18 () =
         (if supervised then "supervised (lib/sup)" else "bare (§11 prototype)")
         outs s.Hserver.Server.served s.Hserver.Server.shed
         s.Hserver.Server.timeouts s.Hserver.Server.restarts
-        (List.length r.Fault.Sweep.r_failures)
-        r.Fault.Sweep.r_kill_points
+        (List.length r.Fault.Sweep.failures)
+        r.Fault.Sweep.points
         (match verdict with None -> "" | Some v -> "  [" ^ v ^ "]"))
     [ true; false ]
 

@@ -3,7 +3,7 @@
      dune exec examples/overload.exe -- --kills 1 --jobs 2 \
        --json BENCH_overload.json
 
-   Runs the full overload sweep (lib/fault/load_sweep) against both the
+   Runs the full overload sweep ([Fault.Sweep.load]) against both the
    supervised §11 server and the sharded server: open-loop load ramps
    at 1x/2x/5x/10x of nominal arrivals, then the same ramps re-run with
    resource-exhaustion plans armed (fd budget, backlog cap, send-buffer
@@ -24,27 +24,25 @@
    re-record with `dune exec bench/main.exe -- -only ovl -json` and
    merge when re-pinning (scripts/bench_check.sh reads them). *)
 
-let report_json ppf (r : Fault.Load_sweep.report) =
-  let point ppf (p : Fault.Load_sweep.point) =
-    let t = p.Fault.Load_sweep.lp_tally in
+let report_json ppf (r : Fault.Sweep.report) =
+  let ramp ppf (p : Fault.Sweep.ramp) =
+    let t = p.tally in
     Format.fprintf ppf
       {|{ "mult": %d, "offered": %d, "ok": %d, "shed": %d, "late": %d, "transport": %d, "max_queue_delay_us": %d, "steps": %d }|}
-      p.Fault.Load_sweep.lp_mult t.Fault.Load_sweep.lt_offered
-      t.Fault.Load_sweep.lt_ok t.Fault.Load_sweep.lt_shed
-      t.Fault.Load_sweep.lt_late t.Fault.Load_sweep.lt_transport
-      t.Fault.Load_sweep.lt_max_qdelay p.Fault.Load_sweep.lp_steps
+      p.ramp_mult t.lt_offered t.lt_ok t.lt_shed t.lt_late t.lt_transport
+      t.lt_max_qdelay p.ramp_steps
   in
   Format.fprintf ppf
     "    {\n\
     \      \"name\": %S,\n\
     \      \"capacity\": %d,\n\
     \      \"ramps\": [\n"
-    r.Fault.Load_sweep.lr_case r.Fault.Load_sweep.lr_capacity;
+    r.case r.capacity;
   List.iteri
     (fun i p ->
-      Format.fprintf ppf "        %a%s\n" point p
-        (if i = List.length r.Fault.Load_sweep.lr_points - 1 then "" else ","))
-    r.Fault.Load_sweep.lr_points;
+      Format.fprintf ppf "        %a%s\n" ramp p
+        (if i = List.length r.ramps - 1 then "" else ","))
+    r.ramps;
   Format.fprintf ppf
     "      ],\n\
     \      \"kill_runs\": %d,\n\
@@ -52,9 +50,7 @@ let report_json ppf (r : Fault.Load_sweep.report) =
     \      \"faulted_steps\": %d,\n\
     \      \"failures\": %d\n\
     \    }"
-    r.Fault.Load_sweep.lr_kill_runs r.Fault.Load_sweep.lr_resource_ramps
-    r.Fault.Load_sweep.lr_faulted_steps
-    (List.length r.Fault.Load_sweep.lr_failures)
+    r.kill_runs r.points r.faulted_steps (List.length r.failures)
 
 let () =
   let kills = ref 1 and jobs = ref 1 and json = ref "" in
@@ -79,16 +75,17 @@ let () =
     List.map
       (fun c ->
         let r =
-          Fault.Load_sweep.sweep ~kills_per_ramp:!kills
+          Fault.Sweep.load ~qdelay_bound:Fault.Load_cases.qdelay_bound
+            ~kills_per_ramp:!kills
             ~resources:Fault.Load_cases.overload_resources ~jobs:!jobs c
         in
-        Format.printf "%a@." Fault.Load_sweep.pp_report r;
+        Format.printf "%a@." Fault.Sweep.pp_report r;
         r)
       Fault.Load_cases.overload
   in
   let failures =
     List.fold_left
-      (fun acc r -> acc + List.length r.Fault.Load_sweep.lr_failures)
+      (fun acc (r : Fault.Sweep.report) -> acc + List.length r.failures)
       0 reports
   in
   if !json <> "" then begin
@@ -97,7 +94,7 @@ let () =
     Format.fprintf ppf
       {|{
   "schema_version": 1,
-  "description": "Overload-robustness record (lib/fault/load_sweep over lib/server + lib/server/shard): open-loop load ramps on the simulated clock at 1x/2x/5x/10x of nominal arrival rate against the supervised and the sharded server, composed with resource-exhaustion plans (fd budget, listener backlog cap, send-buffer cap) and thread kills at sampled scheduler steps. Gates: goodput at 10x >= half of 1x capacity (shed, don't collapse), no admitted request past the CoDel queue-delay bound, a lawful outcome (200/503/504/transport) per surviving client, steady state restored once load drains. Deterministic: same build, same numbers, for any --jobs.",
+  "description": "Overload-robustness record (lib/fault/sweep over lib/server + lib/server/shard): open-loop load ramps on the simulated clock at 1x/2x/5x/10x of nominal arrival rate against the supervised and the sharded server, composed with resource-exhaustion plans (fd budget, listener backlog cap, send-buffer cap) and thread kills at sampled scheduler steps. Gates: goodput at 10x >= half of 1x capacity (shed, don't collapse), no admitted request past the CoDel queue-delay bound, a lawful outcome (200/503/504/transport) per surviving client, steady state restored once load drains. Deterministic: same build, same numbers, for any --jobs.",
   "command": "dune exec examples/overload.exe -- --kills %d --jobs %d --json BENCH_overload.json",
   "load": {
     "backend": "sim+chaos",

@@ -11,9 +11,9 @@
     Everything is deterministic: sites are counted by a single [lift]
     step at each operation, so for a fixed program and plan the same
     faults land at the same operations on every run — which is what lets
-    {!Fault.Io_sweep} enumerate sites from one recorded run, re-run
-    with each fault at each site, replay any failure, and shrink it with
-    the same discipline as the kill sweep's [Plan]/[Shrink].
+    the fault engine ({!Fault.Sweep.io}) enumerate sites from one
+    recorded run, re-run with each fault at each site, replay any
+    failure, and shrink it with the same discipline as its kills.
 
     With an empty plan the wrapped backend performs the same operations
     with the same blocking behaviour as the bare one (the interposition
@@ -81,10 +81,10 @@ val no_resources : resources
 
 type ctl
 (** Per-run injection state: the plan, the per-op site counters, the
-    armed flag and the log of injections. Create a fresh one inside each
-    run ([lift (fun () -> create plan)]) — sharing a [ctl] across runs
-    would leak site counts between them and break determinism, exactly
-    like sharing a metrics registry would. *)
+    armed flag and the log of injections. Create a fresh one for each
+    run (the fault engine builds it just before the run starts) —
+    sharing a [ctl] across runs would leak site counts between them and
+    break determinism, exactly like sharing a metrics registry would. *)
 
 val create : ?metrics:Obs.Metrics.t -> ?resources:resources -> plan -> ctl
 (** When [metrics] is given, every injection increments
@@ -124,7 +124,7 @@ val live_conns : ctl -> int
 val all_ops : op list
 
 val default_faults : op -> fault list
-(** The faults {!Fault.Io_sweep} (and {!random_plan}) try at each site
+(** The faults {!Fault.Sweep.io} (and {!random_plan}) try at each site
     of an op: every fault kind applicable to it, with small default
     delays (50 µs stalls, 25 µs trickles) sized against the server's
     200 µs request deadline so both the absorbed and the timed-out paths

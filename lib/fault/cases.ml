@@ -27,7 +27,7 @@ let join t =
 
 let sem_units =
   Sweep.case "sem-units"
-    ( Sem.create 2 >>= fun s ->
+    (fun _ -> Sem.create 2 >>= fun s ->
       let worker = Combinators.repeat 2 (Sem.with_unit s (yields 2)) in
       Task.spawn ~name:"w1" worker >>= fun t1 ->
       Task.spawn ~name:"w2" worker >>= fun t2 ->
@@ -43,7 +43,7 @@ let sem_units =
 
 let barrier_withdraw =
   Sweep.case "barrier-withdraw"
-    ( Barrier.create 2 >>= fun b ->
+    (fun _ -> Barrier.create 2 >>= fun b ->
       (* Alone at a 2-party barrier, the straggler can only leave by
          exception; the baseline provides one kill ([cancel]) and the
          sweep layers a second at every step — including inside the
@@ -60,7 +60,7 @@ let barrier_withdraw =
 
 let chan_conserve =
   Sweep.case "chan-conserve"
-    ( Chan.create () >>= fun c ->
+    (fun _ -> Chan.create () >>= fun c ->
       Task.spawn ~name:"producer" (Chan.send_list c [ 1; 2; 3; 4 ])
       >>= fun p ->
       Task.spawn ~name:"consumer"
@@ -78,7 +78,7 @@ let chan_conserve =
 
 let bchan_conserve =
   Sweep.case "bchan-conserve"
-    ( Bchan.create 2 >>= fun c ->
+    (fun _ -> Bchan.create 2 >>= fun c ->
       let rec send_all = function
         | [] -> return ()
         | x :: xs -> Bchan.send c x >>= fun () -> send_all xs
@@ -131,7 +131,7 @@ let bchan_conserve =
 
 let mvar_lock =
   Sweep.case "mvar-lock"
-    ( Mvar.new_filled 0 >>= fun m ->
+    (fun _ -> Mvar.new_filled 0 >>= fun m ->
       let worker =
         Combinators.repeat 2 (Mvar.modify m (fun v -> return (v + 1)))
       in
@@ -148,7 +148,8 @@ let mvar_lock =
 
 let cleanup_flags =
   Sweep.case "cleanup-flags"
-    ( (* fresh flags per run: the sweep re-executes this program once per
+    (fun _ ->
+      (* fresh flags per run: the sweep re-executes this program once per
          kill point *)
       lift (fun () -> (ref false, ref false, ref 0))
       >>= fun (started, cleaned, balance) ->
@@ -186,7 +187,10 @@ let std =
 
 let server =
   Sweep.case ~max_steps:400_000 "server-requests"
-    ( let handler = Server.route [ ("/hello", fun body -> Http.ok ("hi" ^ body)) ] in
+    (fun _ ->
+      let handler =
+        Server.route [ ("/hello", fun body -> Http.ok ("hi" ^ body)) ]
+      in
       Server.start handler >>= fun server ->
       let client path =
         Server.connect server >>= fun conn ->
@@ -239,7 +243,7 @@ open Hsup
    any killed child). *)
 let sup_restart_case name ~strategy ~after_stop =
   Sweep.case name
-    ( lift (fun () -> (ref 0, ref 0)) >>= fun (a, b) ->
+    (fun _ -> lift (fun () -> (ref 0, ref 0)) >>= fun (a, b) ->
       let beat r =
         Combinators.forever (lift (fun () -> incr r) >>= fun () -> yield)
       in
@@ -287,7 +291,7 @@ let sup_all_for_one =
 
 let sup_retry_breaker =
   Sweep.case "sup-retry-breaker"
-    ( lift (fun () -> ref 0) >>= fun calls ->
+    (fun _ -> lift (fun () -> ref 0) >>= fun calls ->
       Breaker.create ~failure_threshold:2 ~reset_timeout:50 () >>= fun br ->
       let flaky =
         lift (fun () ->
@@ -314,7 +318,7 @@ let sup_retry_breaker =
 
 let sup_bulkhead =
   Sweep.case "sup-bulkhead"
-    ( Bulkhead.create ~capacity:2 ~max_waiting:1 () >>= fun bh ->
+    (fun _ -> Bulkhead.create ~capacity:2 ~max_waiting:1 () >>= fun bh ->
       lift (fun () -> (ref 0, ref 0)) >>= fun (oks, sheds) ->
       let job =
         Bulkhead.run bh (yields 3) >>= function
@@ -354,7 +358,7 @@ let sup_server_config =
 
 let sup_server =
   Sweep.case ~max_steps:400_000 "sup-server"
-    ( let handler =
+    (fun _ -> let handler =
         Server.route [ ("/hello", fun body -> Http.ok ("hi" ^ body)) ]
       in
       Server.start ~config:sup_server_config handler >>= fun server ->
@@ -482,7 +486,7 @@ module Router = Hactor.Router
 
 let actor_link =
   Sweep.case "actor-link"
-    ( lift (fun () -> (ref 0, ref 0, ref false, ref None))
+    (fun _ -> lift (fun () -> (ref 0, ref 0, ref false, ref None))
       >>= fun (downs, exits, armed, child_ref) ->
       (* the watcher only counts Down messages *)
       Actor.spawn ~name:"watcher" (fun self ->
@@ -535,7 +539,7 @@ let actor_link =
 
 let actor_call =
   Sweep.case "actor-call"
-    ( Actor.spawn ~name:"counter" (fun self ->
+    (fun _ -> Actor.spawn ~name:"counter" (fun self ->
           lift (fun () -> ref 0) >>= fun state ->
           Combinators.forever
             ( Actor.receive self (fun m -> Some m) >>= function
@@ -582,7 +586,7 @@ let actor_call =
 
 let actor_ring =
   Sweep.case "actor-ring"
-    ( let n = 4 and laps = 2 in
+    (fun _ -> let n = 4 and laps = 2 in
       let limit = n * laps in
       lift (fun () -> (Array.make n [], ref false)) >>= fun (seen, completed) ->
       Mvar.new_empty >>= fun done_mv ->
@@ -672,7 +676,7 @@ let actor_shard_config =
 
 let actor_shard =
   Sweep.case ~max_steps:400_000 "actor-shard"
-    ( let handler =
+    (fun _ -> let handler =
         Server.route [ ("/hello", fun body -> Http.ok ("hi" ^ body)) ]
       in
       Shard.start ~config:actor_shard_config ~shards:2 handler
@@ -781,7 +785,7 @@ let actor_sweeps =
 
 let naive_lock =
   Sweep.case ~max_steps:5_000 "naive-lock"
-    ( Mvar.new_filled () >>= fun lock ->
+    (fun _ -> Mvar.new_filled () >>= fun lock ->
       (* BUG (on purpose): bare take/put with no mask and no restore — a
          kill between them loses the lock (§5.2 is exactly about this) *)
       let worker =

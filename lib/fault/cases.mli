@@ -12,11 +12,11 @@ val join : 'a Hio_std.Task.t -> unit Hio.Io.t
     standard way for a sweep case to reap children that may themselves
     be kill victims. *)
 
-val std : Sweep.case list
+val std : unit Sweep.case list
 (** [sem-units], [barrier-withdraw], [chan-conserve], [bchan-conserve],
     [mvar-lock], [cleanup-flags] — swept with {!Plan.Acting}. *)
 
-val server : Sweep.case
+val server : unit Sweep.case
 (** [server-requests]: two clients against the §11 server, a probe
     request, graceful shutdown. Sweep it with {!Plan.Acting} and with
     [Named "listener"] / [Named "conn-worker"] for the targeted "kill the
@@ -25,27 +25,27 @@ val server : Sweep.case
 val server_targets : Plan.target list
 (** The three adversaries above, in that order. *)
 
-val sup_one_for_one : Sweep.case
+val sup_one_for_one : unit Sweep.case
 (** Two permanent heartbeat children under a one-for-one supervisor:
     after any kill, either both children are live again (≤ 1 restart
     spent) and the tree stops gracefully, or — if the supervisor itself
     was hit — the heartbeats are provably silent (no stranded child). *)
 
-val sup_all_for_one : Sweep.case
+val sup_all_for_one : unit Sweep.case
 (** Same shape under {!Hsup.Sup.All_for_one}; additionally requires the
     two children's start counts stay in lockstep (collective restart). *)
 
-val sup_retry_breaker : Sweep.case
+val sup_retry_breaker : unit Sweep.case
 (** {!Hsup.Retry.retry} over {!Hsup.Breaker.run} of a flaky operation:
     the baseline walks closed → open → fail-fast → half-open → closed;
     after the kill, a probe past the reset window must still be admitted
     and close the circuit (no wedged half-open trial). *)
 
-val sup_bulkhead : Sweep.case
+val sup_bulkhead : unit Sweep.case
 (** Four jobs through a capacity-2/waiting-1 {!Hsup.Bulkhead}: after the
     kill, occupancy is back to zero and a fresh call is admitted. *)
 
-val sup_server : Sweep.case
+val sup_server : unit Sweep.case
 (** The tentpole: four clients saturate the supervised server (capacity
     2 + 1 waiting, so the baseline sheds); after a kill anywhere, every
     surviving client holds an allowed answer (200/503/504 or its own
@@ -55,30 +55,30 @@ val sup_server : Sweep.case
 val sup_server_targets : Plan.target list
 (** [Acting; Named "supervisor"; Named "listener"; Named "conn-worker"]. *)
 
-val sup_sweeps : (Sweep.case * Plan.target) list
+val sup_sweeps : (unit Sweep.case * Plan.target) list
 (** The full [sup] suite: each generic case with its targets, then
     {!sup_server} against each of {!sup_server_targets}. *)
 
-val actor_link : Sweep.case
+val actor_link : unit Sweep.case
 (** A monitored, linked child that crashes on demand: whatever single
     kill lands (watcher, parent, child, main), a monitor's [Down]
     arrives {e at most} once — and exactly once when both the watcher
     and the armed monitor outlived the watched actor. The link must
     always unblock the parent (an actor death is never silent). *)
 
-val actor_call : Sweep.case
+val actor_call : unit Sweep.case
 (** Two clients [call] a counter server: a killed server fails waiting
     calls fast via its exit protocol (no timeout wedge); if the server
     survived, its state is bounded by the completed calls and a
     graceful [stop] drains the mailbox FIFO before acknowledging. *)
 
-val actor_ring : Sweep.case
+val actor_ring : unit Sweep.case
 (** A token ring (4 actors × 2 laps): if nobody was killed the token
     completes; killed or not, each member's single-predecessor hop
     numbers are strictly increasing — per-sender mailbox FIFO under
     every schedule the sweep reaches. *)
 
-val actor_shard : Sweep.case
+val actor_shard : unit Sweep.case
 (** The sharded supervised server ({!Hserver.Shard}): four keyed
     clients against 2 shards (capacity 2 + 1 waiting each), then the
     sup-server contract — allowed answers only, probes per shard answer
@@ -90,11 +90,11 @@ val actor_shard_targets : Plan.target list
     Named "shard-serve"; Named "conn-worker"; Named "shard-root"] —
     every layer of the sharded tree. *)
 
-val actor_sweeps : (Sweep.case * Plan.target) list
+val actor_sweeps : (unit Sweep.case * Plan.target) list
 (** The full [actor] suite: link/call/ring cases with their targets,
     then {!actor_shard} against each of {!actor_shard_targets}. *)
 
-val naive_lock : Sweep.case
+val naive_lock : unit Sweep.case
 (** A deliberately §5.2-violating lock (bare [take]/[put], nothing
     masked, no restore) — the harness must find and shrink its wedge;
     used by the tests to validate the sweep itself, never part of the

@@ -28,8 +28,8 @@ let transient e = Hsup.Retry.transient_io e
    the timer wheel the chaos delays arm — so the parked survivor must
    time itself out instead. *)
 let io_pipe =
-  Io_sweep.case ~max_steps:100_000 "io-pipe"
-    (fun ctl ->
+  Sweep.case ~max_steps:100_000 "io-pipe"
+    (fun { Sweep.ctl; _ } ->
       Ev.Backend.sim_pipe ~capacity:4 () >>= fun (a, b) ->
       let a = Ev.Chaos.wrap_conn ctl a and b = Ev.Chaos.wrap_conn ctl b in
       let payload = "hello, chaos!" in
@@ -99,8 +99,8 @@ let io_server_config =
    degradation — and the tree returns to steady state, proven by probe
    requests on the disarmed transport that must be served with 200. *)
 let io_server =
-  Io_sweep.case ~max_steps:600_000 "io-server"
-    (fun ctl ->
+  Sweep.case ~max_steps:600_000 "io-server"
+    (fun { Sweep.ctl; _ } ->
       let handler =
         Server.route [ ("/hello", fun body -> Http.ok ("hi" ^ body)) ]
       in

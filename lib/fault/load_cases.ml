@@ -165,7 +165,7 @@ let max_qdelay registry names =
 
 let tally ~counts:(offered, ok, shed, late, tr) ~qdelay =
   {
-    Load_sweep.lt_offered = offered;
+    Sweep.lt_offered = offered;
     lt_ok = ok;
     lt_shed = shed;
     lt_late = late;
@@ -173,69 +173,68 @@ let tally ~counts:(offered, ok, shed, late, tr) ~qdelay =
     lt_max_qdelay = qdelay;
   }
 
+(* a handler with a real (virtual) cost, so capacity is finite and the
+   ramp can actually exceed it *)
+let handler _req = sleep 30 >>= fun () -> return (Http.ok "hi")
+
+(* One overload case over either server: [start] brings the tree up on
+   the run's chaos-wrapped sim backend, [fresh] starts a replacement on
+   a clean transport, [gauges] name the bulkheads whose queue delay the
+   tally reports. After the ramp: lawful outcomes, steady state, then
+   connect after shutdown is refused. *)
+let overload_case name ~start ~fresh ~connect ~shutdown ~root_alive ~gauges =
+  Sweep.case ~max_steps:2_000_000 name (fun { Sweep.ctl; mult } ->
+      lift (fun () -> Obs.Metrics.create ()) >>= fun registry ->
+      start ~metrics:registry ~backend:(Ev.Chaos.wrap ctl (Ev.Backend.sim ()))
+      >>= fun server ->
+      ramp ~name ~mult ~connect:(fun () -> connect server) >>= fun counts ->
+      Sweep.disarm >>= fun () ->
+      Ev.Chaos.disarm ctl >>= fun () ->
+      let probe srv () =
+        catch
+          ( connect srv >>= fun conn ->
+            Http.write_request conn request >>= fun () ->
+            Combinators.timeout 1_000 (Http.read_response conn) >>= fun r ->
+            return
+              (match r with
+              | Some resp -> resp.Http.status = 200
+              | None -> false) )
+          (fun e ->
+            if transient e || e = Server.Dial_timeout then return false
+            else throw e)
+      in
+      let fresh_tree () =
+        fresh () >>= fun srv ->
+        probe srv () >>= fun ok ->
+        Sweep.require (name ^ ": a fresh tree restores service") ok
+        >>= fun () -> shutdown srv >>= fun _ -> return ()
+      in
+      steady ~name ~probe:(probe server)
+        ~root_alive:(fun () -> root_alive server)
+        ~fresh_tree
+      >>= fun () ->
+      max_qdelay registry gauges >>= fun qdelay ->
+      shutdown server >>= fun _stats ->
+      catch
+        (connect server >>= fun _ -> return false)
+        (fun e -> return (e = Server.Server_stopped))
+      >>= Sweep.require (name ^ ": connect after shutdown is refused")
+      >>= fun () -> return (tally ~counts ~qdelay))
+
 (* --- overload-server: the supervised §11 server under a ramp ------------ *)
 
 let overload_server =
-  Load_sweep.case ~qdelay_bound "overload-server" (fun ctl ~mult ->
-      (* a handler with a real (virtual) cost, so capacity is finite
-         and the ramp can actually exceed it *)
-      let handler _req = sleep 30 >>= fun () -> return (Http.ok "hi") in
-      lift (fun () -> Obs.Metrics.create ()) >>= fun registry ->
-      let backend = Ev.Chaos.wrap ctl (Ev.Backend.sim ()) in
-      Server.start ~config:overload_config ~metrics:registry ~backend handler
-      >>= fun server ->
-      ramp ~name:"overload-server" ~mult
-        ~connect:(fun () -> Server.connect server)
-      >>= fun counts ->
-      Sweep.disarm >>= fun () ->
-      Ev.Chaos.disarm ctl >>= fun () ->
-      let probe () =
-        catch
-          ( Server.connect server >>= fun conn ->
-            Http.write_request conn request >>= fun () ->
-            Combinators.timeout 1_000 (Http.read_response conn) >>= fun r ->
-            return
-              (match r with
-              | Some resp -> resp.Http.status = 200
-              | None -> false) )
-          (fun e ->
-            if transient e || e = Server.Dial_timeout then return false
-            else throw e)
-      in
-      let root_alive () =
-        match Server.supervisor server with
-        | None -> return true
-        | Some sup -> Hsup.Sup.alive sup
-      in
-      let fresh_tree () =
-        Server.start ~config:overload_config ~backend:(Ev.Backend.sim ())
-          handler
-        >>= fun fresh ->
-        catch
-          ( Server.connect fresh >>= fun conn ->
-            Http.write_request conn request >>= fun () ->
-            Combinators.timeout 1_000 (Http.read_response conn) >>= fun r ->
-            return
-              (match r with
-              | Some resp -> resp.Http.status = 200
-              | None -> false) )
-          (fun e ->
-            if transient e || e = Server.Dial_timeout then return false
-            else throw e)
-        >>= fun ok ->
-        Sweep.require "overload-server: a fresh tree restores service" ok
-        >>= fun () ->
-        Server.shutdown fresh >>= fun _ -> return ()
-      in
-      steady ~name:"overload-server" ~probe ~root_alive ~fresh_tree
-      >>= fun () ->
-      max_qdelay registry [ "server" ] >>= fun qdelay ->
-      Server.shutdown server >>= fun _stats ->
-      catch
-        (Server.connect server >>= fun _ -> return false)
-        (fun e -> return (e = Server.Server_stopped))
-      >>= Sweep.require "overload-server: connect after shutdown is refused"
-      >>= fun () -> return (tally ~counts ~qdelay))
+  overload_case "overload-server" ~gauges:[ "server" ]
+    ~start:(fun ~metrics ~backend ->
+      Server.start ~config:overload_config ~metrics ~backend handler)
+    ~fresh:(fun () ->
+      Server.start ~config:overload_config ~backend:(Ev.Backend.sim ())
+        handler)
+    ~connect:Server.connect ~shutdown:Server.shutdown
+    ~root_alive:(fun server ->
+      match Server.supervisor server with
+      | None -> return true
+      | Some sup -> Hsup.Sup.alive sup)
 
 (* --- overload-shard: the sharded server, brownout included ------------- *)
 
@@ -243,61 +242,14 @@ let overload_shard_config =
   { overload_config with mailbox_bound = Some 16 }
 
 let overload_shard =
-  Load_sweep.case ~qdelay_bound "overload-shard" (fun ctl ~mult ->
-      (* a handler with a real (virtual) cost, so capacity is finite
-         and the ramp can actually exceed it *)
-      let handler _req = sleep 30 >>= fun () -> return (Http.ok "hi") in
-      lift (fun () -> Obs.Metrics.create ()) >>= fun registry ->
-      let backend = Ev.Chaos.wrap ctl (Ev.Backend.sim ()) in
-      Shard.start ~config:overload_shard_config ~metrics:registry ~backend
-        ~shards:2 handler
-      >>= fun server ->
-      ramp ~name:"overload-shard" ~mult
-        ~connect:(fun () -> Shard.connect server)
-      >>= fun counts ->
-      Sweep.disarm >>= fun () ->
-      Ev.Chaos.disarm ctl >>= fun () ->
-      let probe () =
-        catch
-          ( Shard.connect server >>= fun conn ->
-            Http.write_request conn request >>= fun () ->
-            Combinators.timeout 1_000 (Http.read_response conn) >>= fun r ->
-            return
-              (match r with
-              | Some resp -> resp.Http.status = 200
-              | None -> false) )
-          (fun e ->
-            if transient e || e = Server.Dial_timeout then return false
-            else throw e)
-      in
-      let root_alive () = Hsup.Sup.alive (Shard.supervisor server) in
-      let fresh_tree () =
-        Shard.start ~config:overload_shard_config ~shards:2 handler
-        >>= fun fresh ->
-        catch
-          ( Shard.connect fresh >>= fun conn ->
-            Http.write_request conn request >>= fun () ->
-            Combinators.timeout 1_000 (Http.read_response conn) >>= fun r ->
-            return
-              (match r with
-              | Some resp -> resp.Http.status = 200
-              | None -> false) )
-          (fun e ->
-            if transient e || e = Server.Dial_timeout then return false
-            else throw e)
-        >>= fun ok ->
-        Sweep.require "overload-shard: a fresh tree restores service" ok
-        >>= fun () ->
-        Shard.shutdown fresh >>= fun _ -> return ()
-      in
-      steady ~name:"overload-shard" ~probe ~root_alive ~fresh_tree
-      >>= fun () ->
-      max_qdelay registry [ "shard-0"; "shard-1" ] >>= fun qdelay ->
-      Shard.shutdown server >>= fun _stats ->
-      catch
-        (Shard.connect server >>= fun _ -> return false)
-        (fun e -> return (e = Server.Server_stopped))
-      >>= Sweep.require "overload-shard: connect after shutdown is refused"
-      >>= fun () -> return (tally ~counts ~qdelay))
+  overload_case "overload-shard" ~gauges:[ "shard-0"; "shard-1" ]
+    ~start:(fun ~metrics ~backend ->
+      Shard.start ~config:overload_shard_config ~metrics ~backend ~shards:2
+        handler)
+    ~fresh:(fun () ->
+      Shard.start ~config:overload_shard_config ~shards:2 handler)
+    ~connect:(fun server -> Shard.connect server)
+    ~shutdown:Shard.shutdown
+    ~root_alive:(fun server -> Hsup.Sup.alive (Shard.supervisor server))
 
 let overload = [ overload_server; overload_shard ]

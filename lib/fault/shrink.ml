@@ -1,3 +1,6 @@
+let earlier at =
+  if at = 0 then [] else List.sort_uniq compare [ 0; at / 2; at - 1 ]
+
 let set_nth plan i inj = List.mapi (fun j x -> if j = i then inj else x) plan
 
 let candidates plan =
@@ -8,21 +11,21 @@ let candidates plan =
     List.concat
       (List.mapi
          (fun i (inj : Plan.injection) ->
-           let at k = set_nth plan i { inj with Plan.at_step = k } in
-           if inj.Plan.at_step = 0 then []
-           else
-             List.sort_uniq compare
-               [ at 0; at (inj.Plan.at_step / 2); at (inj.Plan.at_step - 1) ])
+           List.map
+             (fun k -> set_nth plan i { inj with Plan.at_step = k })
+             (earlier inj.Plan.at_step))
          plan)
   in
   drops @ moves
 
-let minimize fails plan =
-  if not (fails plan) then plan
+let greedy candidates fails x =
+  if not (fails x) then x
   else
-    let rec go plan =
-      match List.find_opt fails (candidates plan) with
+    let rec go x =
+      match List.find_opt fails (candidates x) with
       | Some smaller -> go smaller
-      | None -> plan
+      | None -> x
     in
-    go plan
+    go x
+
+let minimize fails plan = greedy candidates fails plan

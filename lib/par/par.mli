@@ -1,6 +1,6 @@
 (** A small domain-parallel fork-join pool for the verification engines.
 
-    Both the kill-point sweep ({!Fault.Sweep}, {!Fault.Ch_sweep}) and the
+    Both the fault sweeps ({!Fault.Sweep}, {!Fault.Ch_sweep}) and the
     state-space explorer ({!Ch_explore.Space}) are embarrassingly
     parallel: each faulted re-run, and each frontier expansion, is
     independent work over immutable inputs (a recorded schedule, a

@@ -479,20 +479,20 @@ let sweep_tests =
            monitoring watcher mid-delivery, a Down is never duplicated
            (and still delivered when watcher + monitor survived) *)
         let r =
-          Fault.Sweep.sweep ~jobs:2 ~target:(Fault.Plan.Named "watcher")
+          Fault.Sweep.kills ~jobs:2 ~target:(Fault.Plan.Named "watcher")
             Fault.Cases.actor_link
         in
-        Alcotest.check int_v "failures" 0 (List.length r.Fault.Sweep.r_failures));
+        Alcotest.check int_v "failures" 0 (List.length r.Fault.Sweep.failures));
     slow_case "sweep: link/monitor races, acting thread" (fun () ->
-        let r = Fault.Sweep.sweep ~jobs:2 Fault.Cases.actor_link in
-        Alcotest.check int_v "failures" 0 (List.length r.Fault.Sweep.r_failures));
+        let r = Fault.Sweep.kills ~jobs:2 Fault.Cases.actor_link in
+        Alcotest.check int_v "failures" 0 (List.length r.Fault.Sweep.failures));
     slow_case "sweep: jobs-invariance on the actor-call case" (fun () ->
         let r1 =
-          Fault.Sweep.sweep ~jobs:1 ~target:(Fault.Plan.Named "counter")
+          Fault.Sweep.kills ~jobs:1 ~target:(Fault.Plan.Named "counter")
             Fault.Cases.actor_call
         in
         let r4 =
-          Fault.Sweep.sweep ~jobs:4 ~target:(Fault.Plan.Named "counter")
+          Fault.Sweep.kills ~jobs:4 ~target:(Fault.Plan.Named "counter")
             Fault.Cases.actor_call
         in
         Alcotest.check bool_v "reports equal" true (r1 = r4));

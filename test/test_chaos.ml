@@ -1,6 +1,7 @@
 (* The I/O chaos layer: determinism and transparency of the Ev.Chaos
-   decorator, the injection metric, the Io_sweep driver (clean suites
-   stay clean, a deliberately fragile case is caught and shrunk), and
+   decorator, the injection metric, the fault engine's I/O and load
+   enumerators (clean suites stay clean, a deliberately fragile case is
+   caught and shrunk, each load gate fails when its condition breaks), and
    the headline robustness demonstration — a reset injected into the
    server's response write restarts the worker and degrades that one
    connection instead of escaping the supervisor. *)
@@ -204,13 +205,13 @@ let mid_response_reset_tests =
                 "server_io_faults_total")));
   ]
 
-(* --- the sweep driver --------------------------------------------------- *)
+(* --- the fault engine's I/O and load enumerators ---------------------- *)
 
 (* A deliberately fragile case: the reader demands the WHOLE payload, so
    any fault that cuts the stream (eof, reset, short write) must be
    caught by the sweep — and shrunk to an early site. *)
 let fragile =
-  Io_sweep.case ~max_steps:50_000 "fragile-pipe" (fun ctl ->
+  Sweep.case ~max_steps:50_000 "fragile-pipe" (fun { Sweep.ctl; _ } ->
       Ev.Backend.sim_pipe ~capacity:8 () >>= fun (a, b) ->
       let a = Ev.Chaos.wrap_conn ctl a and b = Ev.Chaos.wrap_conn ctl b in
       let payload = "all or nothing" in
@@ -239,67 +240,105 @@ let fragile =
       lift (fun () -> Buffer.contents got) >>= fun got ->
       Sweep.require "fragile: the whole payload arrived" (got = payload))
 
+let no_failures (r : Sweep.report) =
+  match r.failures with
+  | [] -> ()
+  | f :: _ ->
+      Alcotest.failf "unexpected failure: %a then %s" Ev.Chaos.pp_plan
+        f.fault.chaos f.reason
+
+(* A load case with no server: its tally is a function of the
+   multiplier alone, so each cross-run gate can be broken on purpose. *)
+let synthetic ~ok ~qdelay =
+  Sweep.case "synthetic-load" (fun { Sweep.mult; _ } ->
+      return
+        {
+          Sweep.lt_offered = 6 * mult;
+          lt_ok = ok mult;
+          lt_shed = (6 * mult) - ok mult;
+          lt_late = 0;
+          lt_transport = 0;
+          lt_max_qdelay = qdelay mult;
+        })
+
+let gate_failures ~ok ~qdelay =
+  let r = Sweep.load ~qdelay_bound:100 (synthetic ~ok ~qdelay) in
+  List.map (fun (f : Sweep.failure) -> (f.fault.mult, f.reason)) r.failures
+
+let top = List.nth Sweep.multipliers (List.length Sweep.multipliers - 1)
+
 let sweep_tests =
   [
     case "io-pipe survives every fault at every site (plus kills)"
       (fun () ->
-        let r = Io_sweep.sweep ~kills_per_point:1 Io_cases.io_pipe in
-        Alcotest.(check bool) "has fault points" true (r.Io_sweep.ir_points > 0);
-        Alcotest.(check bool) "ran combined kills" true
-          (r.Io_sweep.ir_kill_runs > 0);
-        (match r.Io_sweep.ir_failures with
-        | [] -> ()
-        | f :: _ ->
-            Alcotest.failf "unexpected failure: %a then %s" Ev.Chaos.pp_rule
-              f.Io_sweep.if_rule f.Io_sweep.if_reason);
+        let r = Sweep.io ~kills_per_point:1 Io_cases.io_pipe in
+        Alcotest.(check bool) "has fault points" true (r.points > 0);
+        Alcotest.(check bool) "ran combined kills" true (r.kill_runs > 0);
+        no_failures r;
         Alcotest.(check bool) "send sites seen" true
-          (List.assoc Ev.Chaos.Send r.Io_sweep.ir_sites >= 1));
+          (List.assoc Ev.Chaos.Send r.sites >= 1));
     slow_case "io-server survives a sampled fault+kill sweep" (fun () ->
         let r =
-          Io_sweep.sweep ~max_sites_per_op:2 ~kills_per_point:1
-            Io_cases.io_server
+          Sweep.io ~max_sites_per_op:2 ~kills_per_point:1 Io_cases.io_server
         in
-        (match r.Io_sweep.ir_failures with
-        | [] -> ()
-        | f :: _ ->
-            Alcotest.failf "unexpected failure: %a then %s" Ev.Chaos.pp_rule
-              f.Io_sweep.if_rule f.Io_sweep.if_reason);
+        no_failures r;
         Alcotest.(check bool) "reached dial sites" true
-          (List.assoc Ev.Chaos.Dial r.Io_sweep.ir_sites >= 1));
+          (List.assoc Ev.Chaos.Dial r.sites >= 1));
     case "a fragile case is caught and the rule shrinks to an early site"
       (fun () ->
-        let r = Io_sweep.sweep ~max_sites_per_op:3 fragile in
-        Alcotest.(check bool) "failures found" true
-          (r.Io_sweep.ir_failures <> []);
+        let r = Sweep.io ~max_sites_per_op:3 fragile in
+        Alcotest.(check bool) "failures found" true (r.failures <> []);
+        let site (f : Sweep.fault) = (List.hd f.chaos).Ev.Chaos.r_at in
         List.iter
-          (fun f ->
+          (fun (f : Sweep.failure) ->
             Alcotest.(check bool) "shrunk site is no later" true
-              (f.Io_sweep.if_shrunk.Ev.Chaos.r_at
-              <= f.Io_sweep.if_rule.Ev.Chaos.r_at))
-          r.Io_sweep.ir_failures;
+              (site f.shrunk <= site f.fault))
+          r.failures;
         (* replay: a reported (shrunk) counterexample still fails *)
-        let schedule, _ = Io_sweep.record fragile in
-        let f = List.hd r.Io_sweep.ir_failures in
+        let recording = Sweep.record fragile Sweep.clean in
+        let f = List.hd r.failures in
         Alcotest.(check bool) "replay fails" true
-          (fst (Io_sweep.run_rule fragile schedule f.Io_sweep.if_shrunk [])
-          <> None));
+          (fst (Sweep.run fragile recording f.shrunk) <> None));
     case "sweep reports are identical across job counts" (fun () ->
-        let strip (r : Io_sweep.report) =
-          ( r.Io_sweep.ir_points,
-            r.ir_kill_runs,
-            r.ir_faulted_steps,
-            r.ir_by_kind,
-            List.map
-              (fun f -> (f.Io_sweep.if_rule, f.if_shrunk, f.if_kill))
-              r.ir_failures )
-        in
-        let r1 =
-          Io_sweep.sweep ~kills_per_point:1 ~jobs:1 Io_cases.io_pipe
-        in
-        let r4 =
-          Io_sweep.sweep ~kills_per_point:1 ~jobs:4 Io_cases.io_pipe
-        in
-        Alcotest.(check bool) "same report" true (strip r1 = strip r4));
+        List.iter
+          (fun (what, sweep) ->
+            Alcotest.(check bool) what true (sweep ~jobs:1 = sweep ~jobs:4))
+          [
+            ("kills", fun ~jobs -> Sweep.kills ~jobs Cases.naive_lock);
+            ( "io",
+              fun ~jobs -> Sweep.io ~kills_per_point:1 ~jobs Io_cases.io_pipe
+            );
+            ( "load",
+              fun ~jobs ->
+                Sweep.load ~qdelay_bound:Load_cases.qdelay_bound
+                  ~kills_per_ramp:1 ~resources:Load_cases.overload_resources
+                  ~jobs Load_cases.overload_server );
+          ]);
+    case "the load gates pass a curve that degrades gracefully" (fun () ->
+        Alcotest.(check (list (pair int string))) "no failures" []
+          (gate_failures ~ok:(fun m -> min (6 * m) 12) ~qdelay:(fun _ -> 100)));
+    case "goodput collapse at the top multiplier fails the sweep" (fun () ->
+        match
+          gate_failures
+            ~ok:(fun m -> if m = top then 2 else 6)
+            ~qdelay:(fun _ -> 0)
+        with
+        | [ (m, reason) ] ->
+            Alcotest.(check int) "at the top multiplier" top m;
+            Alcotest.(check bool) reason true
+              (String.starts_with ~prefix:"goodput collapsed" reason)
+        | fs -> Alcotest.failf "expected one failure, got %d" (List.length fs));
+    case "a queue delay over the CoDel bound fails the sweep" (fun () ->
+        match
+          gate_failures
+            ~ok:(fun _ -> 6)
+            ~qdelay:(fun m -> if m = 5 then 101 else 0)
+        with
+        | [ (m, reason) ] ->
+            Alcotest.(check int) "at the offending multiplier" 5 m;
+            Alcotest.(check bool) reason true
+              (String.starts_with ~prefix:"queue delay 101" reason)
+        | fs -> Alcotest.failf "expected one failure, got %d" (List.length fs));
   ]
 
 let suites =

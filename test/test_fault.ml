@@ -49,19 +49,19 @@ let shrink_tests =
    take/put in [unblock] — §5.3 interruptibility already covers the wait,
    and the wrapper opened a post-transfer window that lost items). *)
 let sweep_case c =
-  case (Sweep.case_name c ^ " survives a kill at every armed step")
+  case (c.Sweep.name ^ " survives a kill at every armed step")
     (fun () ->
-      let r = Sweep.sweep c in
+      let r = Sweep.kills c in
       Alcotest.check Alcotest.bool "has kill points" true
-        (r.Sweep.r_kill_points > 0);
+        (r.Sweep.points > 0);
       Alcotest.check Alcotest.int "every injection found a live target"
-        r.Sweep.r_kill_points r.Sweep.r_applied;
-      match r.Sweep.r_failures with
+        r.Sweep.points r.Sweep.applied;
+      match r.Sweep.failures with
       | [] -> ()
       | f :: _ ->
           Alcotest.failf "%d failures, first: %a — %s"
-            (List.length r.Sweep.r_failures)
-            Plan.pp f.Sweep.f_shrunk f.Sweep.f_reason)
+            (List.length r.Sweep.failures)
+            Plan.pp f.Sweep.shrunk.kill f.Sweep.reason)
 
 let sweep_tests =
   List.map sweep_case Cases.std
@@ -70,28 +70,28 @@ let sweep_tests =
           let total =
             List.fold_left
               (fun acc c ->
-                acc + Array.length (Sweep.record c).Sweep.s_armed)
+                acc + Array.length (Sweep.record c Sweep.clean).Sweep.armed)
               0 Cases.std
           in
           Alcotest.check Alcotest.bool
             (Printf.sprintf "%d >= 500" total)
             true (total >= 500));
       case "the harness catches and shrinks the naive lock" (fun () ->
-          let r = Sweep.sweep Cases.naive_lock in
+          let r = Sweep.kills Cases.naive_lock in
           Alcotest.check Alcotest.bool "found the §5.2 violation" true
-            (r.Sweep.r_failures <> []);
+            (r.Sweep.failures <> []);
           List.iter
             (fun f ->
               Alcotest.check Alcotest.int "shrunk to a single injection" 1
-                (List.length f.Sweep.f_shrunk))
-            r.Sweep.r_failures);
+                (List.length f.Sweep.shrunk.kill))
+            r.Sweep.failures);
       case "record refuses a baseline that strands threads" (fun () ->
           let wedged =
-            Sweep.case "wedged"
-              (Mvar.new_empty >>= fun m ->
+            Sweep.case "wedged" (fun _ ->
+               Mvar.new_empty >>= fun m ->
                fork (Mvar.take m) >>= fun _ -> return ())
           in
-          match Sweep.record wedged with
+          match Sweep.record wedged Sweep.clean with
           | _ -> Alcotest.fail "expected the baseline to be rejected"
           | exception Failure _ -> ());
     ]
@@ -315,7 +315,7 @@ let gen_prog =
       ])
 
 let chan_conserve () =
-  List.find (fun c -> Sweep.case_name c = "chan-conserve") Cases.std
+  List.find (fun c -> c.Sweep.name = "chan-conserve") Cases.std
 
 let jobs_invariance_tests =
   [
@@ -327,47 +327,48 @@ let jobs_invariance_tests =
               ends the instant after would catch the loser's children
               still mid-death and (rightly) be rejected by [record] *)
            let io = prog_to_io p >>= fun () -> yields 16 in
-           let c = Sweep.case ~max_steps:2_000 "qcheck" io in
-           let seq = Sweep.sweep ~jobs:1 c in
-           List.for_all (fun j -> Sweep.sweep ~jobs:j c = seq) [ 2; 3; 4 ]));
+           let c = Sweep.case ~max_steps:2_000 "qcheck" (fun _ -> io) in
+           let seq = Sweep.kills ~jobs:1 c in
+           List.for_all (fun j -> Sweep.kills ~jobs:j c = seq) [ 2; 3; 4 ]));
     case "the naive lock's failures shrink identically at any jobs" (fun () ->
         (* the failure/shrink path, deterministically: same failing plans,
            same shrunk counterexamples, same order *)
-        let seq = Sweep.sweep ~jobs:1 Cases.naive_lock in
+        let seq = Sweep.kills ~jobs:1 Cases.naive_lock in
         Alcotest.check Alcotest.bool "failures found" true
-          (seq.Sweep.r_failures <> []);
+          (seq.Sweep.failures <> []);
         List.iter
           (fun j ->
             Alcotest.check Alcotest.bool
               (Printf.sprintf "jobs=%d equals jobs=1" j)
               true
-              (Sweep.sweep ~jobs:j Cases.naive_lock = seq))
+              (Sweep.kills ~jobs:j Cases.naive_lock = seq))
           [ 2; 4 ]);
     case "the server case sweeps identically in parallel" (fun () ->
         (* regression for the shared-metrics bug: Server.start used to
            create its default Obs.Metrics registry at application time,
            so concurrent sweeps shared one in-flight gauge and shutdown
            span extra steps waiting on other domains' workers *)
-        let seq = Sweep.sweep ~jobs:1 ~max_points:40 Cases.server in
+        let seq = Sweep.kills ~jobs:1 ~max_points:40 Cases.server in
         Alcotest.check Alcotest.bool "jobs=4 equals jobs=1" true
-          (Sweep.sweep ~jobs:4 ~max_points:40 Cases.server = seq));
+          (Sweep.kills ~jobs:4 ~max_points:40 Cases.server = seq));
     case "record is a pure function of the case" (fun () ->
         (* every worker re-runs against the one schedule the driver
            recorded, so a second record must reproduce it exactly *)
         let c = chan_conserve () in
-        let s1 = Sweep.record c and s2 = Sweep.record c in
-        Alcotest.check Alcotest.int "steps" s1.Sweep.s_steps
-          s2.Sweep.s_steps;
+        let s1 = Sweep.record c Sweep.clean
+        and s2 = Sweep.record c Sweep.clean in
+        Alcotest.check Alcotest.int "steps" s1.Sweep.steps s2.Sweep.steps;
         Alcotest.check Alcotest.bool "armed steps" true
-          (s1.Sweep.s_armed = s2.Sweep.s_armed);
+          (s1.Sweep.armed = s2.Sweep.armed);
         Alcotest.check Alcotest.bool "thread names" true
-          (s1.Sweep.s_names = s2.Sweep.s_names));
+          (s1.Sweep.names = s2.Sweep.names));
     case "a faulted run repeats identically under one schedule" (fun () ->
         let c = chan_conserve () in
-        let s = Sweep.record c in
-        let step, _ = s.Sweep.s_armed.(Array.length s.Sweep.s_armed / 2) in
-        let v1, r1 = Sweep.run_plan c s [ kill step ] in
-        let v2, r2 = Sweep.run_plan c s [ kill step ] in
+        let s = Sweep.record c Sweep.clean in
+        let step, _ = s.Sweep.armed.(Array.length s.Sweep.armed / 2) in
+        let fault = { Sweep.clean with kill = [ kill step ] } in
+        let v1, r1 = Sweep.run c s fault in
+        let v2, r2 = Sweep.run c s fault in
         Alcotest.check Alcotest.bool "same verdict" true (v1 = v2);
         Alcotest.check Alcotest.int "one injection" 1 r1.Runtime.injections;
         Alcotest.check Alcotest.int "same steps" r1.Runtime.steps

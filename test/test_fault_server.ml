@@ -10,15 +10,15 @@ let sweep_target target =
   Helpers.case
     (Fmt.str "server survives kills into %a" Plan.pp_target target)
     (fun () ->
-      let r = Sweep.sweep ~max_points:40 ~target Cases.server in
+      let r = Sweep.kills ~max_points:40 ~target Cases.server in
       Alcotest.check Alcotest.bool "has kill points" true
-        (r.Sweep.r_kill_points > 0);
-      match r.Sweep.r_failures with
+        (r.Sweep.points > 0);
+      match r.Sweep.failures with
       | [] -> ()
       | f :: _ ->
           Alcotest.failf "%d failures, first: %a — %s"
-            (List.length r.Sweep.r_failures)
-            Plan.pp f.Sweep.f_shrunk f.Sweep.f_reason)
+            (List.length r.Sweep.failures)
+            Plan.pp f.Sweep.shrunk.kill f.Sweep.reason)
 
 let suites =
   [ ("fault:server", List.map sweep_target Cases.server_targets) ]
