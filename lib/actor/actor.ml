@@ -285,11 +285,7 @@ let down_exn d =
   Exit_signal { aid = d.down_id; name = d.down_name; reason }
 
 (* A synchronous call: reply MVar in the message, a monitor so a dying
-   server fails us fast instead of leaving us waiting out the timeout,
-   the timer armed in this thread (a timeout helper thread could be
-   killed while holding the reply). The wait itself is the only
-   interruptible point; the handler runs masked, so the timer token is
-   always cancelled/purged before we leave. *)
+   server fails us fast instead of leaving us waiting out the timeout. *)
 let call ?timeout srv make =
   Mvar.new_empty >>= fun r ->
   watch_cell srv.a_cell (fun d -> reply_error r (down_exn d)) >>= fun w ->
@@ -302,14 +298,10 @@ let call ?timeout srv make =
       in
       match timeout with
       | None -> wait
-      | Some d ->
-          mask_
-            ( arm_timer d >>= fun tm ->
-              catch
-                (wait >>= fun v -> cancel_timer tm >>= fun () -> return v)
-                (fun e ->
-                  if is_timer_signal tm e then throw Call_timeout
-                  else cancel_timer tm >>= fun () -> throw e) ) )
+      | Some d -> (
+          Combinators.timeout d wait >>= function
+          | Some v -> return v
+          | None -> throw Call_timeout ) )
     (demonitor w)
 
 (* --- termination ------------------------------------------------------- *)

@@ -131,8 +131,8 @@ val call : ?timeout:int -> 'm t -> ('r reply -> 'm) -> 'r Io.t
 (** Synchronous request: [call srv make] sends [make r], waits for
     {!reply}. A monitor on [srv] fails the call fast with
     {!Exit_signal} if the server dies first (or is already dead);
-    [?timeout] (virtual µs, timer wheel, same-thread arming) raises
-    {!Call_timeout}. *)
+    [?timeout] (virtual µs, {!Hio_std.Combinators.timeout} around the
+    wait) raises {!Call_timeout}. *)
 
 (* --- termination ------------------------------------------------------- *)
 

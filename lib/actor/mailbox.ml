@@ -104,24 +104,16 @@ let receive t f =
       | Some x -> return x
       | None -> recv_match t f )
 
-(* Same loop with a deadline. The timer is armed in this thread — a
-   forked [Combinators.timeout] child would be the one blocked in
-   [Chan.recv], and killing it on expiry could lose the message it just
-   took. Here expiry is a [Timer_signal] delivered to us at the
-   interruptible [Chan.recv] wait: either we already hold a message
-   (signal arrives at a later wait, or is purged by [cancel_timer]) or
-   we hold nothing. Either way no message is in limbo. *)
+(* Same loop with a deadline. [Combinators.timeout] runs it in this
+   thread and the deadline arrives at the interruptible [Chan.recv] wait:
+   either we already hold a message (the token is purged by the
+   timeout's [cancel_timer]) or we hold nothing, so no message is in
+   limbo. *)
 let receive_timeout d t f =
   mask_
-    ( arm_timer d >>= fun tm ->
-      catch
-        ( (take_stash t f >>= function
-           | Some x -> return x
-           | None -> recv_match t f)
-          >>= fun x ->
-          cancel_timer tm >>= fun () -> return (Some x) )
-        (fun e ->
-          if is_timer_signal tm e then return None
-          else cancel_timer tm >>= fun () -> throw e) )
+    (Combinators.timeout d
+       ( take_stash t f >>= function
+         | Some x -> return x
+         | None -> recv_match t f ))
 
 let next t = receive t (fun m -> Some m)

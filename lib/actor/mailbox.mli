@@ -60,10 +60,11 @@ val receive : 'a t -> ('a -> 'b option) -> 'b Io.t
 
 val receive_timeout : int -> 'a t -> ('a -> 'b option) -> 'b option Io.t
 (** Like {!receive} with a deadline of virtual µs on the timer wheel.
-    Returns [None] on expiry. Built on {!Hio.Io.arm_timer} in the
-    calling thread — no helper thread that could be holding a message
-    when killed — and the timer is cancelled (posted token purged)
-    before returning, so no ghost wakeup survives. *)
+    Returns [None] on expiry. Built on {!Hio_std.Combinators.timeout},
+    which runs the receive in the calling thread — no helper thread that
+    could be holding a message when killed — and cancels the timer
+    (posted token purged) before returning, so no ghost wakeup
+    survives. *)
 
 val next : 'a t -> 'a Io.t
 (** [receive t Option.some]: the plain FIFO head. *)

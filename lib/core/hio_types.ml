@@ -113,8 +113,14 @@ and status = Status_running | Status_blocked of wait_reason | Status_dead
 
 (* A handle returned by [Arm_timer]. [th_cancel] is installed by the
    runtime (it closes over the wheel entry); the id is the token's
-   payload. *)
-and timer_handle = { th_id : int; mutable th_cancel : unit -> unit }
+   payload. [th_delivered] is set when the token is raised in the arming
+   thread, so a caller whose action returned normally can tell that a
+   handler inside it intercepted the deadline (§9). *)
+and timer_handle = {
+  th_id : int;
+  mutable th_cancel : unit -> unit;
+  mutable th_delivered : bool;
+}
 
 (* Continuation frames. [F_catch] records the mask state when pushed
    (paper §8.1: "extend the catch frame to include the state of

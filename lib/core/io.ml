@@ -79,6 +79,7 @@ type timer = Hio_types.timer_handle
 let arm_timer d = Prim (Arm_timer d)
 let cancel_timer h = Prim (Cancel_timer h)
 let timer_id (h : timer) = h.th_id
+let timer_delivered (h : timer) = h.th_delivered
 
 let is_timer_signal (h : timer) = function
   | Timer_signal id -> id = h.th_id

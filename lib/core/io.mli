@@ -23,7 +23,9 @@ exception Kill_thread
 (** The paper's [KillThread] exception. *)
 
 exception Timeout
-(** Thrown by sleeping deadlines; used by the [timeout] combinator. *)
+(** The paper's [Timeout] exception, for protocols that throw a deadline
+    by hand. [Hio_std.Combinators.timeout] does not use it: each call's
+    deadline is its own {!Timer_signal} token. *)
 
 exception Thread_not_found
 (** Never raised by the runtime — reserved for user protocols. *)
@@ -193,7 +195,8 @@ val arm_timer : int -> timer t
     interruptible wait, even inside [block] — §5.3). [d <= 0] posts the
     token at once. This is the primitive under
     [Hio_std.Combinators.timeout]; unlike the paper's §7.3 sleep-thread
-    race it costs no forked clock thread per call. *)
+    race it costs no forked clock thread per call, and the token lands in
+    the caller itself, as in GHC's later [System.Timeout]. *)
 
 val cancel_timer : timer -> unit t
 (** Withdraw an armed deadline {e and} discard its token if the wheel
@@ -202,6 +205,12 @@ val cancel_timer : timer -> unit t
     observed (no ghost wakeups). Idempotent. *)
 
 val timer_id : timer -> int
+
+val timer_delivered : timer -> bool
+(** Whether this timer's token has been raised in the arming thread — by
+    the time the arming thread reads it, that thread has already seen
+    the token, or a handler inside it has. A fired token purged by
+    {!cancel_timer} before delivery never counts. *)
 
 val is_timer_signal : timer -> exn -> bool
 (** Does this exception carry {e this} timer's token? *)

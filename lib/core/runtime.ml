@@ -179,7 +179,7 @@ let pp_wait_graph ppf blocked =
    an armed [Arm_timer] deadline whose token is posted asynchronously. *)
 type timer_kind =
   | Tk_sleep of { tm_thread : thread; tm_wake : unit -> packed }
-  | Tk_alarm of { al_thread : thread; al_id : int }
+  | Tk_alarm of { al_thread : thread; al_timer : timer_handle }
 
 (* One thread parked in [Wait_fd], queued FIFO per (fd, direction). *)
 type fd_waiter = {
@@ -251,6 +251,14 @@ let interrupt_if_blocked st target =
 let post_now st target entry =
   target.t_pending <- target.t_pending @ [ entry ];
   interrupt_if_blocked st target
+
+(* The pending entry an armed timer posts when it fires: raising it marks
+   the handle delivered. *)
+let timer_token h =
+  {
+    p_exn = Timer_signal h.th_id;
+    p_on_delivered = Some (fun () -> h.th_delivered <- true);
+  }
 
 (* --- MVar plumbing ------------------------------------------------------ *)
 
@@ -520,27 +528,23 @@ let exec_prim : type a. state -> thread -> a prim -> a frames -> unit =
         | T_run _ | T_dead _ -> ()
       end
   | Arm_timer d ->
-      let id = st.next_timer in
+      let h =
+        { th_id = st.next_timer; th_cancel = ignore; th_delivered = false }
+      in
       st.next_timer <- st.next_timer + 1;
-      if d <= 0 then begin
+      if d <= 0 then
         (* an expired deadline: the token is pending before the thread
            takes another interruptible step, exactly as if the wheel had
            fired at this instant *)
-        t.t_pending <-
-          t.t_pending @ [ { p_exn = Timer_signal id; p_on_delivered = None } ];
-        continue { th_id = id; th_cancel = (fun () -> ()) }
-      end
+        t.t_pending <- t.t_pending @ [ timer_token h ]
       else begin
         let entry =
           Timer_wheel.add st.wheel ~deadline:(st.now + d)
-            (Tk_alarm { al_thread = t; al_id = id })
+            (Tk_alarm { al_thread = t; al_timer = h })
         in
-        continue
-          {
-            th_id = id;
-            th_cancel = (fun () -> Timer_wheel.cancel st.wheel entry);
-          }
-      end
+        h.th_cancel <- (fun () -> Timer_wheel.cancel st.wheel entry)
+      end;
+      continue h
   | Cancel_timer h ->
       h.th_cancel ();
       (* purge an already-fired-but-undelivered token: cancellation means
@@ -785,12 +789,10 @@ let fire_timer st = function
       emit st (Ev_wakeup { tid = tm_thread.t_id });
       set_run tm_thread (tm_wake ());
       enqueue st tm_thread
-  | Tk_alarm { al_thread; al_id } -> (
+  | Tk_alarm { al_thread; al_timer } -> (
       match al_thread.t_state with
       | T_dead _ -> ()
-      | T_run _ | T_blocked _ ->
-          post_now st al_thread
-            { p_exn = Timer_signal al_id; p_on_delivered = None })
+      | T_run _ | T_blocked _ -> post_now st al_thread (timer_token al_timer))
 
 (* Advance the virtual clock to the earliest live deadline and wake every
    timer due at that instant. Returns false if no timer is pending. The

@@ -23,23 +23,26 @@
    scan.
 
    Cancellation is lazy: [cancel] flips a flag and decrements the live
-   count; the carcass is dropped the next time its slot is drained. Firing
-   order inside one deadline cohort is descending insertion sequence,
-   which reproduces the seed runtime's reverse-insertion wake order for
-   same-deadline timers (the old list consed newest-first), keeping the
-   golden traces byte-identical. *)
+   count; the carcass is dropped the next time its slot is drained.
+   Firing flips the same flag, so cancelling an entry that already fired
+   is a no-op rather than a second decrement (which would let [live]
+   reach 0 with sleepers still filed, and the runtime report a false
+   deadlock). Firing order inside one deadline cohort is descending
+   insertion sequence, which reproduces the seed runtime's
+   reverse-insertion wake order for same-deadline timers (the old list
+   consed newest-first), keeping the golden traces byte-identical. *)
 
 type 'a entry = {
   e_deadline : int;
   e_seq : int;
   e_payload : 'a;
-  mutable e_cancelled : bool;
+  mutable e_spent : bool;  (* cancelled or fired: no longer counted live *)
 }
 
 type 'a t = {
   mutable cur : int;  (* current tick: all live deadlines are >= cur *)
   mutable seq : int;  (* insertion counter, for cohort ordering *)
-  mutable live : int;  (* entries added minus cancelled minus fired *)
+  mutable live : int;  (* entries added and not yet spent *)
   levels : 'a entry list array array;  (* levels.(i).(slot), unordered *)
   mutable overflow : 'a entry list;  (* deadlines beyond the level-3 horizon *)
 }
@@ -87,23 +90,22 @@ let add t ~deadline payload =
   let deadline = if deadline < t.cur then t.cur else deadline in
   let entry =
     { e_deadline = deadline; e_seq = t.seq; e_payload = payload;
-      e_cancelled = false }
+      e_spent = false }
   in
   t.seq <- t.seq + 1;
   t.live <- t.live + 1;
   file t entry;
   entry
 
-let cancel t entry =
-  if not entry.e_cancelled then begin
-    entry.e_cancelled <- true;
-    t.live <- t.live - 1
-  end
+let spend t entry =
+  entry.e_spent <- true;
+  t.live <- t.live - 1
 
-let cancelled entry = entry.e_cancelled
+let cancel t entry = if not entry.e_spent then spend t entry
+let pending entry = not entry.e_spent
 
 (* Purge a slot's cancelled carcasses, returning the survivors. *)
-let compact es = List.filter (fun e -> not e.e_cancelled) es
+let compact es = List.filter (fun e -> not e.e_spent) es
 
 (* Minimum live deadline within one slot, compacting as we look. *)
 let slot_min t lvl slot =
@@ -157,7 +159,7 @@ let cascade t =
       t.overflow <- far;
       (* cancelled carcasses are simply dropped; [cancel] already
          adjusted the live count *)
-      List.iter (fun e -> if not e.e_cancelled then file t e) near);
+      List.iter (fun e -> if not e.e_spent then file t e) near);
   for lvl = levels - 1 downto 1 do
     let slot = index ~level:lvl t.cur in
     match t.levels.(lvl).(slot) with
@@ -166,7 +168,7 @@ let cascade t =
         t.levels.(lvl).(slot) <- [];
         List.iter
           (fun e ->
-            if not e.e_cancelled then
+            if not e.e_spent then
               let lvl' = level_for t e.e_deadline in
               if lvl' < lvl then begin
                 let s = index ~level:lvl' e.e_deadline in
@@ -200,7 +202,7 @@ let advance t ~now =
         in
         t.levels.(0).(slot) <- rest;
         let due = compact due in
-        t.live <- t.live - List.length due;
+        List.iter (spend t) due;
         let due = List.sort (fun a b -> compare b.e_seq a.e_seq) due in
         groups := due :: !groups;
         loop ()

@@ -35,13 +35,15 @@ val add : 'a t -> deadline:int -> 'a -> 'a entry
     past fires at the current instant. O(1). *)
 
 val cancel : 'a t -> 'a entry -> unit
-(** Withdraw an entry. Idempotent; O(1) (lazy removal). *)
+(** Withdraw an entry. Idempotent; O(1) (lazy removal). A no-op on an
+    entry that already fired. *)
 
-val cancelled : 'a entry -> bool
+val pending : 'a entry -> bool
+(** Neither cancelled nor fired yet. *)
 
 val live : 'a t -> int
-(** Armed-and-not-cancelled entries — the "is any timer pending" the
-    deadlock watchdog asks. *)
+(** Armed entries that have neither been cancelled nor fired — the "is
+    any timer pending" the deadlock watchdog asks. *)
 
 val next_deadline : 'a t -> int option
 (** The exact earliest live deadline, or [None] when no timer is

@@ -212,7 +212,10 @@ let lapsed b = Hsup.Breaker.note_failure b Deadline_lapsed
    that is the normal end of a keep-alive conversation — and since
    nothing was answered, neither the outcome counters nor the latency
    histogram book a request. Latency is measured on the virtual-step
-   clock, first step to final response byte. *)
+   clock, first step to final response byte. The handler runs here,
+   under this deadline's token: one that intercepts the token with a
+   plain [catch] has its reply written and counted, and is then closed
+   and counted as lapsed too (the handler contract in server.mli). *)
 let serve_request w conn progress dl =
   let ins = w.ins in
   steps >>= fun t0 ->

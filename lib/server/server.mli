@@ -51,6 +51,14 @@
 open Hio
 
 type handler = Http.request -> Http.response Io.t
+(** A handler runs in the connection worker, under the request's
+    deadline, whose token is delivered asynchronously to that worker. A
+    universal fallback inside a handler must use {!Io.catch_sync}, which
+    lets the deadline (and kills) through to the 504 path. A plain
+    {!Io.catch} intercepts the deadline (§9): its fallback response is
+    written and counted [ok], and the connection is then closed and
+    counted as a lapse ([server_io_faults_total{kind=deadline}]; a
+    {!Shard} shard's breaker sees a success, then a lapse). *)
 
 type config = {
   request_timeout : int;

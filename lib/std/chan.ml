@@ -14,8 +14,12 @@ let create () =
   Mvar.new_filled hole >>= fun read ->
   Mvar.new_filled hole >>= fun write -> return { read; write }
 
+(* [mask_], not [block]: a caller that must not lose its message (a
+   supervised child's exit notice) sends under [uninterruptibly], and
+   [block] would downgrade that to an interruptible wait at the contended
+   [take c.write]. *)
 let send c v =
-  block
+  mask_
     ( Mvar.new_empty >>= fun new_hole ->
       Mvar.take c.write >>= fun old_hole ->
       Mvar.put old_hole (Item (v, new_hole)) >>= fun () ->

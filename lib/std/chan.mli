@@ -15,7 +15,10 @@ type 'a t
 val create : unit -> 'a t Io.t
 
 val send : 'a t -> 'a -> unit Io.t
-(** Never blocks (the channel is unbounded). *)
+(** Never waits for a reader (the channel is unbounded), only for the
+    write end while another sender holds it; interruptible there, unless
+    the caller runs under {!Io.uninterruptibly}, which [send] keeps in
+    force. *)
 
 val recv : 'a t -> 'a Io.t
 (** Waits until a value is available; interruptible while waiting. *)

@@ -156,42 +156,30 @@ let parallel actions =
 
 let parallel_map f xs = parallel (List.map f xs)
 
-(* §7.3 on the timer wheel. The paper races a private clock thread
-   ([either (sleep t) a]); we instead arm a wheel deadline whose token is
-   posted to *this* thread — no forked clock thread per call, O(1) arm and
-   cancel, so 100k concurrent timeouts are fine. The action still runs in
-   a child (with the caller's mask restored), so a universal handler
-   inside [a] cannot intercept the deadline: the token lands in the
-   parent, which is only ever blocked at the interruptible [take]. Each
-   call's token carries a unique id ([Io.is_timer_signal]), so nested
-   timeouts cannot be confused for one another — the §7.3 composability
-   argument, transplanted from thread identity to timer identity. Other
-   asynchronous exceptions received while waiting are propagated to the
-   child, as in [either]. [cancel_timer] also purges an already-posted
-   token, so a timeout that returns [Some] cannot leave a ghost
-   [Timer_signal] behind (pinned by the props suite). *)
+(* §7.3 on the timer wheel, in the calling thread. The paper races [a]
+   against a private clock thread ([either (sleep t) a]); like GHC's later
+   [System.Timeout] we run [a] right here and arm a wheel deadline whose
+   token is posted to this thread: no fork, no result MVar, O(1) arm and
+   cancel. Each call's token carries a unique id ([Io.is_timer_signal]),
+   so nested timeouts cannot be confused for one another — the §7.3
+   composability argument, transplanted from thread identity to timer
+   identity: an inner timeout withdraws its own deadline and re-throws an
+   outer one's token. [a] runs under the caller's mask state; arming and
+   both exits run masked, so the deadline is always withdrawn, and
+   [cancel_timer] also purges a fired but undelivered token (no ghost
+   [Timer_signal], pinned by the props suite). A universal handler inside
+   [a] can catch the token and return normally (§9); [timer_delivered]
+   reports that, and the result is [None] all the same. *)
 let timeout t a =
-  Mvar.new_empty >>= fun m ->
   mask (fun restore ->
-      fork
-        (catch
-           (restore a >>= fun r -> Mvar.put m (Ok_r r))
-           (fun e -> Mvar.put m (Err_r e)))
-      >>= fun child ->
       arm_timer t >>= fun alarm ->
-      let rec wait () =
-        catch
-          (Mvar.take m >>= fun s -> return (Some s))
-          (fun e ->
-            if is_timer_signal alarm e then
-              throw_to child Kill_thread >>= fun () -> return None
-            else throw_to child e >>= fun () -> wait ())
-      in
-      wait () >>= function
-      | None -> return None
-      | Some s -> (
+      catch
+        ( restore a >>= fun r ->
           cancel_timer alarm >>= fun () ->
-          match s with Ok_r r -> return (Some r) | Err_r e -> throw e))
+          return (if timer_delivered alarm then None else Some r) )
+        (fun e ->
+          if is_timer_signal alarm e then return None
+          else cancel_timer alarm >>= fun () -> throw e))
 
 let safe_point = unblock (return ())
 

@@ -60,12 +60,17 @@ val timeout : int -> 'a Io.t -> 'a option Io.t
     microseconds, [Nothing] otherwise. Composable: timeouts may be
     arbitrarily nested and cannot interfere with each other — each call
     arms its own uniquely-identified deadline. Unlike the paper's
-    implementation, no clock thread is forked: the deadline lives on the
-    runtime's timer wheel ({!Io.arm_timer}), so arming and cancelling are
-    O(1) and 100k concurrent timeouts cost no threads. [a] runs in a
-    child thread under the caller's mask state (restore-passing
-    {!Io.mask}), so a universal handler inside [a] cannot intercept the
-    deadline; a timeout that loses cleanly withdraws its token — no ghost
+    implementation, no thread is forked and no MVar allocated: [a] runs
+    in the calling thread, under the caller's mask state (restore-passing
+    {!Io.mask}), and the deadline lives on the runtime's timer wheel
+    ({!Io.arm_timer}), whose token is raised in the caller, as in GHC's
+    later [System.Timeout]. Arming and cancelling are O(1), and 100k
+    concurrent timeouts cost no threads. Under a masked caller the
+    deadline can only cut [a] short at an interruptible operation
+    (§5.3). A universal handler inside [a] can intercept the token
+    (§9); the result is still [Nothing], and an asynchronous exception
+    arriving after the interception still propagates. Every exit
+    withdraws the deadline and any undelivered token — no ghost
     wakeups. *)
 
 val safe_point : unit Io.t

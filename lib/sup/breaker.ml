@@ -24,7 +24,9 @@ let set_state b st =
   b.st <- st;
   Obs.Metrics.set b.g_state (gauge_of st)
 
-let default_count_error = function Kill_thread -> false | _ -> true
+let default_count_error = function
+  | Kill_thread | Timer_signal _ -> false
+  | _ -> true
 
 let create ?(name = "default") ?metrics ?(failure_threshold = 3)
     ?(reset_timeout = 1_000) ?(count_error = default_count_error) () =

@@ -30,8 +30,10 @@ val create :
 (** Defaults: [name = "default"], [failure_threshold = 3],
     [reset_timeout = 1_000] virtual µs. [count_error] decides which
     exceptions count toward the threshold — by default everything except
-    {!Io.Kill_thread} (a kill aimed at the {e caller} is not evidence
-    about the service). The registry (a private one if [?metrics] is
+    {!Io.Kill_thread} and {!Io.Timer_signal} (a kill aimed at the
+    {e caller}, or the lapsed deadline of a
+    {!Hio_std.Combinators.timeout} around [run], is not evidence about
+    the service). The registry (a private one if [?metrics] is
     omitted) carries [sup_breaker_state{name}] (0 closed, 1 half-open,
     2 open), [sup_breaker_trips_total{name}] and
     [sup_breaker_rejected_total{name}]. *)

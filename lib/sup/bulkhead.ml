@@ -39,15 +39,12 @@ let create ?(name = "default") ?metrics ?queue_target ~capacity
           Obs.Metrics.counter reg ~labels "sup_bulkhead_queue_shed_total";
       })
 
-(* CoDel-style bounded wait for a slot. We cannot wrap [Sem.wait] in
-   [Combinators.timeout]: the timeout's child thread would own the
-   acquired unit, and a kill landing between its acquisition and the
-   parent's resumption leaks the unit. Instead the timer is armed in
-   {e this} thread and the signal caught around the wait — [Sem.wait]'s
+(* CoDel-style bounded wait for a slot: [Sem.wait] under
+   [Combinators.timeout], which runs it in this thread. [Sem.wait]'s
    withdraw-on-exception restores its queue position (or passes a
-   dedicated unit on), so interruption conserves units (§5.3). Returns
-   [`Got] holding a unit, or [`Late] having shed from the waiting room;
-   runs masked, so [`Got] cannot be separated from its release. *)
+   dedicated unit on), so an expired wait conserves units (§5.3).
+   Returns [`Got] holding a unit, or [`Late] having shed from the waiting
+   room; runs masked, so [`Got] cannot be separated from its release. *)
 let acquire_within b target =
   now >>= fun enq ->
   lift (fun () ->
@@ -61,16 +58,14 @@ let acquire_within b target =
         Obs.Metrics.set b.g_qdepth b.waiting;
         Obs.Metrics.set b.g_qdelay (t - enq))
   in
-  arm_timer target >>= fun tm ->
-  catch
-    ( Sem.wait b.sem >>= fun () ->
-      cancel_timer tm >>= fun () ->
-      dequeue >>= fun () -> return `Got )
-    (fun e ->
-      dequeue >>= fun () ->
-      if is_timer_signal tm e then
-        lift (fun () -> Obs.Metrics.inc b.c_qshed) >>= fun () -> return `Late
-      else cancel_timer tm >>= fun () -> throw e)
+  catch (Combinators.timeout target (Sem.wait b.sem)) (fun e ->
+      dequeue >>= fun () -> throw e)
+  >>= fun got ->
+  dequeue >>= fun () ->
+  match got with
+  | Some () -> return `Got
+  | None ->
+      lift (fun () -> Obs.Metrics.inc b.c_qshed) >>= fun () -> return `Late
 
 let run b io =
   Combinators.bracket

@@ -9,11 +9,10 @@
     {e queue-deadline} admission: a waiter's sojourn is tracked on the
     virtual clock, and one that has waited longer than the target is shed
     from the queue ([Error `Shed]) instead of eventually occupying a slot
-    it can no longer use in time. The bounded wait arms the timer in the
-    waiting thread itself and catches the signal around [Sem.wait]
-    (whose withdraw-on-exception conserves units) — wrapping the wait in
-    [Combinators.timeout] would let a kill separate the acquired unit
-    from its release. *)
+    it can no longer use in time. The bounded wait is [Sem.wait] under
+    {!Hio_std.Combinators.timeout}, which runs it in the waiting thread;
+    [Sem.wait]'s withdraw-on-exception conserves units when the deadline
+    or a kill cuts it short. *)
 
 open Hio
 

@@ -24,7 +24,7 @@ let schedule ?base ?factor ?max_delay ?jitter n =
   List.init n (fun i -> backoff ?base ?factor ?max_delay ?jitter (i + 1))
 
 let default_retry_on = function
-  | Kill_thread | Timeout -> false
+  | Kill_thread | Timeout | Timer_signal _ -> false
   | _ -> true
 
 let transient_io = function

@@ -34,10 +34,13 @@ val retry :
     [4]); the last exception is re-thrown once attempts are exhausted.
 
     [retry_on] defaults to retrying everything {e except}
-    {!Io.Kill_thread} and {!Io.Timeout} — an asynchronous kill (the
-    sweep's injection, a supervisor takedown) or an enclosing
-    {!Hio_std.Combinators.timeout} must terminate the computation, not
-    restart it. *)
+    {!Io.Kill_thread}, {!Io.Timeout} and {!Io.Timer_signal} — an
+    asynchronous kill (the sweep's injection, a supervisor takedown) or
+    the deadline of an enclosing {!Hio_std.Combinators.timeout} (its
+    token is delivered to this thread) must terminate the computation,
+    not restart it. A custom [retry_on] must return [false] for a
+    [Timer_signal] too, or the enclosing timeout no longer bounds the
+    time spent. *)
 
 val transient_io : exn -> bool
 (** The retry-on-reset policy for clients of a chaos-prone transport:

@@ -64,13 +64,17 @@ let set_children_gauge t = Obs.Metrics.set t.g_children (live_count t)
    be split by a kill, and an [Exited] message, once received, is always
    accounted before the next delivery point. *)
 
+(* The exit notice is sent uninterruptibly: a child the supervisor is
+   already killing can be killed again while it waits for the contended
+   ctl write end, and a lost [Exited] leaves [drain_exits] waiting
+   forever. *)
 let spawn_slot t slot =
+  let exited r = uninterruptibly (Chan.send t.ctl (Exited (slot.sl_id, r))) in
   block
     ( fork ~name:slot.sl_spec.sp_name
         (catch
-           ( unblock slot.sl_spec.sp_start >>= fun () ->
-             Chan.send t.ctl (Exited (slot.sl_id, Stdlib.Ok ())) )
-           (fun e -> Chan.send t.ctl (Exited (slot.sl_id, Stdlib.Error e))))
+           (unblock slot.sl_spec.sp_start >>= fun () -> exited (Stdlib.Ok ()))
+           (fun e -> exited (Stdlib.Error e)))
     >>= fun tid ->
       lift (fun () ->
           slot.sl_tid <- Some tid;

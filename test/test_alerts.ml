@@ -51,9 +51,10 @@ let alerts_tests =
                | Io.Running -> return "running"
                | Io.Blocked_on w -> return (Io.wait_reason_label w) )));
     (* An inline timeout that throws Timeout into the *current* thread —
-       the style §9's concern is about. (The §7.3 either-based timeout is
-       immune in its result, because the clock thread wins the race
-       independently; interception there merely leaks the undead child.) *)
+       the style §9's concern is about. ([Combinators.timeout] also runs
+       its action in the caller, but its result stays immune: it notices
+       that its own token was delivered, even when a handler inside the
+       action swallowed it, and answers [None].) *)
     case "inline timeout survives a universal catch_sync handler" (fun () ->
         let timeout_inline t a =
           my_thread_id >>= fun me ->
@@ -85,15 +86,21 @@ let alerts_tests =
         in
         Alcotest.(check (option string)) "intercepted" (Some "fallback")
           (value (timeout_inline 10 user_code)));
-    case "either-based timeout returns None despite interception, but leaks"
+    case "Combinators.timeout returns None despite interception, no leak"
       (fun () ->
         let undying =
           catch
             (sleep 1_000 >>= fun () -> return "slow result")
             (fun _ -> return "fallback")
         in
-        Alcotest.(check (option string)) "result robust" None
-          (value (Combinators.timeout 10 undying)));
+        let r = run (Combinators.timeout 10 undying) in
+        (match r.Runtime.outcome with
+        | Runtime.Value v ->
+            Alcotest.(check (option string)) "result robust" None v
+        | _ -> Alcotest.fail "expected a value");
+        Alcotest.check int_v "nothing blocked at exit" 0
+          (List.length r.Runtime.blocked_at_exit);
+        Alcotest.check int_v "no thread beyond main" 1 r.Runtime.forks);
     case "catch_sync still catches pure raises from the inner semantics"
       (fun () ->
         Alcotest.check int_v "caught" 7

@@ -240,6 +240,36 @@ let timeout_tests =
              >>= fun a ->
                Combinators.timeout 100 (sleep 10 >>= fun () -> return 2)
                >>= fun b -> return (a, b) )));
+    case "timeout runs the action in the caller: no fork" (fun () ->
+        let r = run (Combinators.timeout 100 (return 1)) in
+        (match r.Runtime.outcome with
+        | Runtime.Value v ->
+            Alcotest.(check (option int_v)) "in time" (Some 1) v
+        | _ -> Alcotest.fail "expected a value");
+        (* [forks] counts the main thread *)
+        Alcotest.check int_v "threads created" 1 r.Runtime.forks);
+    case "a kill after an intercepted deadline still propagates" (fun () ->
+        (* the universal handler swallows the deadline at 10 and keeps
+           sleeping; the kill at 50 must escape the timeout, not be
+           mistaken for the deadline it intercepted *)
+        let intercepting =
+          catch
+            (sleep 1_000 >>= fun () -> return "slow")
+            (fun _ -> sleep 1_000 >>= fun () -> return "fallback")
+        in
+        Alcotest.(check string) "victim" "killed"
+          (value
+             ( Mvar.new_empty >>= fun res ->
+               fork
+                 (catch
+                    ( Combinators.timeout 10 intercepting >>= fun _ ->
+                      Mvar.put res "returned" )
+                    (function
+                      | Kill_thread -> Mvar.put res "killed"
+                      | e -> throw e))
+               >>= fun victim ->
+               sleep 50 >>= fun () ->
+               throw_to victim Kill_thread >>= fun () -> Mvar.take res )));
   ]
 
 let suites =

@@ -77,9 +77,20 @@ let wheel_tests =
         Tw.cancel w e1;
         Tw.cancel w e1;
         Alcotest.check int_v "live 1" 1 (Tw.live w);
-        Alcotest.(check bool) "flagged" true (Tw.cancelled e1);
+        Alcotest.(check bool) "flagged" false (Tw.pending e1);
         Alcotest.check ints "only survivor" [ 2 ] (Tw.advance w ~now:10);
         Alcotest.check int_v "live 0" 0 (Tw.live w));
+    case "cancelling a fired entry does not count it twice" (fun () ->
+        let w = Tw.create () in
+        let e1 = Tw.add w ~deadline:5 1 in
+        ignore (Tw.add w ~deadline:100 2);
+        Alcotest.check ints "first fires" [ 1 ] (Tw.advance w ~now:10);
+        Alcotest.(check bool) "spent" false (Tw.pending e1);
+        Alcotest.check int_v "live 1" 1 (Tw.live w);
+        Tw.cancel w e1;
+        Alcotest.check int_v "still live 1" 1 (Tw.live w);
+        Alcotest.(check (option int))
+          "the survivor is still due" (Some 100) (Tw.next_deadline w));
     case "advance_to_next jumps exactly to the earliest instant" (fun () ->
         let w = Tw.create () in
         ignore (Tw.add w ~deadline:400 1);
@@ -182,6 +193,26 @@ let timer_tests =
                   catch
                     (sleep 5 >>= fun () -> return "clean")
                     (fun _ -> return "ghost") ))));
+    case "cancelling a fired-but-undelivered timer keeps sleepers due"
+      (fun () ->
+        (* the alarm fires at 5 while its thread sleeps uninterruptibly,
+           so the token stays pending; cancel_timer then withdraws a
+           wheel entry that already fired, and must not take the forked
+           sleeper's deadline out of the live count with it *)
+        let r =
+          run
+            ( fork (sleep 100) >>= fun _ ->
+              uninterruptibly
+                ( arm_timer 5 >>= fun h ->
+                  sleep 10 >>= fun () -> cancel_timer h )
+              >>= fun () -> sleep 200 )
+        in
+        match r.Runtime.outcome with
+        | Runtime.Value () -> Alcotest.check int_v "clock" 210 r.Runtime.time
+        | o ->
+            Alcotest.failf "unexpected outcome: %a"
+              (Runtime.pp_outcome (fun ppf () -> Fmt.pf ppf "()"))
+              o);
     case "tokens are per-timer: nested arms cannot be confused" (fun () ->
         Alcotest.(check string) "outer" "outer"
           (value
@@ -195,7 +226,7 @@ let timer_tests =
                       if Io.is_timer_signal outer e then return "outer"
                       else if Io.is_timer_signal inner e then return "inner"
                       else throw e) ))));
-    case "throwTo into a timeout kills its child and cancels its timer"
+    case "throwTo into a timeout interrupts its action and cancels its timer"
       (fun () ->
         let r =
           run

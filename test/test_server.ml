@@ -235,6 +235,40 @@ let server_tests =
              ( Server.start ~backend:(Ev.Backend.sim ()) slow_handler >>= fun server ->
                get server "/x" >>= fun r ->
                Server.shutdown server >>= fun _ -> return r.Http.status )));
+    case "a handler's universal catch answers, then the lapse closes it"
+      (fun () ->
+        (* the handler runs under the request deadline in the worker: a
+           plain [catch] intercepts the deadline and its fallback goes
+           out, but the request still books as lapsed; [catch_sync] lets
+           the deadline through to the 504 *)
+        let serve_once catch_ =
+          let handler _req =
+            catch_ (sleep 10_000 >>= fun () -> return (Http.ok "too late"))
+              (fun _ -> return (Http.ok "fallback"))
+          in
+          let reg = Obs.Metrics.create () in
+          value
+            ( Server.start ~metrics:reg ~backend:(Ev.Backend.sim ()) handler
+            >>= fun server ->
+              get server "/x" >>= fun r ->
+              Server.shutdown server >>= fun stats ->
+              return
+                ( r.Http.status,
+                  stats.Server.served,
+                  stats.Server.timeouts,
+                  Obs.Metrics.counter_value
+                    (Obs.Metrics.counter reg
+                       ~labels:[ ("backend", "sim"); ("kind", "deadline") ]
+                       "server_io_faults_total") ) )
+        in
+        let q = Alcotest.(pair int_v (pair int_v (pair int_v int_v))) in
+        let flat (a, b, c, d) = (a, (b, (c, d))) in
+        Alcotest.check q "catch: 200, served, closed as a deadline"
+          (200, (1, (0, 1)))
+          (flat (serve_once catch));
+        Alcotest.check q "catch_sync: 504, a timeout"
+          (504, (0, (1, 0)))
+          (flat (serve_once catch_sync)));
     case "admission control requires timeouts to cover queueing" (fun () ->
         (* 1 worker slot and a slow handler: the second client's worker
            waits for admission and times out end-to-end *)

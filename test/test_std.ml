@@ -66,6 +66,32 @@ let chan_tests =
                Chan.send c 1 >>= fun () ->
                Chan.send c 2 >>= fun () ->
                yields 20 >>= fun () -> Mvar.take acc )));
+    case "uninterruptibly (Chan.send ...) is not cut short at the write lock"
+      (fun () ->
+        (* t1 and t2 send at once; round-robin runs t2's take of the write
+           end while t1 holds it, so t2 waits there — with a kill injected
+           into t2 at every step *)
+        let inject ~step:_ ~running:_ = Some (2, Kill_thread) in
+        let r =
+          Runtime.run
+            ~config:{ (rr_config ()) with Runtime.Config.inject = Some inject }
+            ( Chan.create () >>= fun c ->
+              block
+                ( fork (uninterruptibly (Chan.send c 1)) >>= fun _ ->
+                  fork (uninterruptibly (Chan.send c 2)) )
+              >>= fun _ ->
+              yields 20 >>= fun () ->
+              Chan.try_recv c >>= fun x ->
+              Chan.try_recv c >>= fun y -> return [ x; y ] )
+        in
+        (match r.Runtime.outcome with
+        | Runtime.Value got ->
+            Alcotest.(check (list (option int_v)))
+              "both sent" [ Some 1; Some 2 ] got
+        | _ -> Alcotest.fail "expected a value");
+        let t2 = List.nth r.Runtime.thread_stats 2 in
+        Alcotest.(check bool) "t2 waited for the write end" true
+          (t2.Runtime.ts_blocked > 0));
   ]
 
 let sem_tests =

@@ -79,6 +79,50 @@ let sup_tests =
         Alcotest.check int_v "a restarted" 2 sa;
         Alcotest.check int_v "b restarted with it" 2 sb;
         Alcotest.check int_v "one collective restart logged" 1 rc);
+    case "a child killed again mid-notice is still reported Exited"
+      (fun () ->
+        (* a and b are killed together, so under round-robin their exit
+           notices contend for the ctl write end; b's first incarnation
+           is then killed again at every step while it sends *)
+        let armed = ref false in
+        let prog =
+          lift (fun () -> (ref 0, ref 0)) >>= fun (a, b) ->
+          Sup.start [ beat_child a "a"; beat_child b "b" ] >>= fun sup ->
+          yields 5 >>= fun () ->
+          Sup.child_tid sup "a" >>= fun ta ->
+          Sup.child_tid sup "b" >>= fun tb ->
+          (match (ta, tb) with
+          | Some ta, Some tb ->
+              throw_to ta Kill_thread >>= fun () -> throw_to tb Kill_thread
+          | _ -> Alcotest.fail "children not up")
+          >>= fun () ->
+          lift (fun () -> armed := true) >>= fun () ->
+          wait_starts sup "a" 2 >>= fun () ->
+          wait_starts sup "b" 2 >>= fun () ->
+          lift (fun () -> armed := false) >>= fun () ->
+          Sup.child_starts sup "b" >>= fun sb ->
+          Sup.stop sup >>= fun _ -> return sb
+        in
+        let b_tid =
+          match
+            List.find_opt
+              (fun s -> s.Hio.Runtime.ts_name = Some "b")
+              (run prog).Hio.Runtime.thread_stats
+          with
+          | Some s -> s.Hio.Runtime.ts_id
+          | None -> Alcotest.fail "no thread named b"
+        in
+        let inject ~step:_ ~running:_ =
+          if !armed then Some (b_tid, Kill_thread) else None
+        in
+        let config =
+          { (rr_config ()) with Hio.Runtime.Config.inject = Some inject }
+        in
+        match (Hio.Runtime.run ~config prog).Hio.Runtime.outcome with
+        | Hio.Runtime.Value sb -> Alcotest.check int_v "b restarted" 2 sb
+        | Hio.Runtime.Uncaught e ->
+            Alcotest.failf "uncaught: %s" (Printexc.to_string e)
+        | _ -> Alcotest.fail "the supervisor never saw b exit");
     case "transient child is not restarted after a normal return" (fun () ->
         let up, starts =
           value
@@ -252,6 +296,22 @@ let retry_tests =
               >>= fun () -> lift (fun () -> !n) )
         in
         Alcotest.check int_v "one call only" 1 calls);
+    case "retry never retries an enclosing timeout's deadline" (fun () ->
+        (* the deadline token is delivered into the retried body; a
+           retry would sleep the backoff and run it again, unbounded by
+           the timeout *)
+        let r, elapsed, calls =
+          value
+            ( lift (fun () -> ref 0) >>= fun n ->
+              now >>= fun t0 ->
+              Combinators.timeout 10
+                (Retry.retry (lift (fun () -> incr n) >>= fun () -> sleep 100))
+              >>= fun r ->
+              now >>= fun t1 -> lift (fun () -> (r, t1 - t0, !n)) )
+        in
+        Alcotest.check bool_v "timed out" true (r = None);
+        Alcotest.check int_v "at the deadline" 10 elapsed;
+        Alcotest.check int_v "one call only" 1 calls);
     case "transient_io retries resource exhaustion, then gives up at the cap"
       (fun () ->
         (* Too_many_fds is transient (EMFILE clears when load drains), so
@@ -378,8 +438,9 @@ let breaker_tests =
         Alcotest.check int_v "the rest failed fast" 3 rejected;
         Alcotest.check bool_v "probe success closed it" true
           (st = Breaker.Closed));
-    case "a kill does not count as a service failure" (fun () ->
-        let st =
+    case "neither a kill nor a caller's lapsed timeout counts as a failure"
+      (fun () ->
+        let st, timed_out =
           value
             ( Breaker.create ~failure_threshold:1 () >>= fun b ->
               Task.spawn ~name:"victim"
@@ -390,8 +451,10 @@ let breaker_tests =
               yields 3 >>= fun () ->
               Task.cancel t >>= fun () ->
               catch (Task.await t) (fun _ -> return ()) >>= fun () ->
-              Breaker.state b )
+              Combinators.timeout 10 (Breaker.run b (sleep 100)) >>= fun r ->
+              Breaker.state b >>= fun st -> return (st, r = None) )
         in
+        Alcotest.check bool_v "timed out" true timed_out;
         Alcotest.check bool_v "still closed" true (st = Breaker.Closed));
   ]
 
